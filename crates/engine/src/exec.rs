@@ -10,7 +10,10 @@
 //!   tables, with every intermediate row carrying provenance: the sampling
 //!   step index of each contributing sample tuple (one per leaf relation of
 //!   the subtree). This is exactly the annotated execution of §3.2.2 from
-//!   which `ρ_n` and `S_n²` are computed in one pass.
+//!   which `ρ_n` and `S_n²` are computed in one pass. It stops at the first
+//!   aggregate on each root path — Algorithm 1 takes the optimizer's
+//!   estimate from there up — and it reuses what the sample tables, drawn
+//!   once, already know (see [`execute_on_samples`]).
 //!
 //! # Columnar data plane
 //!
@@ -25,7 +28,9 @@
 //! * **hash join** builds its hash table on borrowed keys (primitive `i64`
 //!   fast path, or a [`JoinKey`]-style borrowed view mirroring `Value`
 //!   equality) with row-index payloads — no row is cloned until the final
-//!   materialization;
+//!   materialization; in sample mode a build side that is still a row
+//!   subset of one sample table builds nothing and probes the key index
+//!   that table owns ([`uaq_storage::SampleTable::join_index`]);
 //! * **hash aggregation** groups on interned key ids (one hash probe per
 //!   input row resolving to a dense group index);
 //! * **provenance** is carried end-to-end as the flat `arity × rows` matrix
@@ -68,8 +73,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use uaq_storage::{
-    rows_from_columns, Catalog, ColumnData, ColumnRef, ColumnSlice, Row, SampleCatalog, Schema,
-    Value,
+    rows_from_columns, Catalog, ColumnData, ColumnRef, ColumnSlice, Row, SampleCatalog,
+    SampleTable, Schema, Value,
 };
 
 /// Flattened provenance matrix of one operator's sample-mode output:
@@ -204,6 +209,14 @@ impl PartialEq for ProvData {
 impl Eq for ProvData {}
 
 /// Per-operator execution observations.
+///
+/// Full mode fills every node. Sample mode fills every node *below* the
+/// first aggregate on its root path (`!meta.agg_at_or_below`) — the only
+/// nodes Algorithm 1 estimates from samples. A node at or above an
+/// aggregate is not executed in sample mode (its selectivity is the
+/// optimizer's estimate): its `output_rows` is 0, its `prov` is `None`, and
+/// an input count is the output of that child if the child itself sits
+/// below the aggregate, 0 otherwise.
 #[derive(Debug, Clone, Default)]
 pub struct NodeTrace {
     /// Output cardinality `M`.
@@ -212,7 +225,8 @@ pub struct NodeTrace {
     pub left_input_rows: usize,
     /// Right input cardinality `N_r` (0 for unary operators).
     pub right_input_rows: usize,
-    /// Sample-mode output provenance (None in full mode or above aggregates).
+    /// Sample-mode output provenance (None in full mode, and at or above
+    /// aggregates).
     pub prov: Option<ProvData>,
 }
 
@@ -415,16 +429,22 @@ impl ExactSizeIterator for RowPages<'_> {}
 /// `Arc`-shared selection chains: a pass-through operator clones handles
 /// (O(1)), a selective operator layers one shared index vector over all
 /// columns, and payloads are copied only where a consumer densifies.
-struct Batch {
+struct Batch<'a> {
     schema: Schema,
     cols: Vec<ColumnSlice>,
     len: usize,
     /// Flat provenance matrix (sample mode only; dropped above aggregates
     /// because grouped rows have no single lineage).
     prov: Option<ProvData>,
+    /// Sample mode: the sample table this batch is an order-preserving row
+    /// subset of, columns unchanged — a scan under any filters and
+    /// materializes. `None` once a sort reorders the rows or a join
+    /// combines two inputs. A hash join building on such a batch probes the
+    /// table's shared [`SampleTable::join_index`] instead of hashing it.
+    sample: Option<&'a SampleTable>,
 }
 
-impl Batch {
+impl Batch<'_> {
     fn col(&self, i: usize) -> &ColumnSlice {
         &self.cols[i]
     }
@@ -459,6 +479,17 @@ pub fn execute_full(plan: &Plan, catalog: &Catalog) -> ExecOutcome {
 /// Executes a plan against sample tables, tracking provenance. Row-free:
 /// the estimator consumes only the traces, so the former root-row
 /// materialization is gone from the prediction path entirely.
+///
+/// Does only what Algorithm 1 reads. Every node below the first aggregate
+/// on its root path gets its full [`NodeTrace`] — cardinalities and the
+/// provenance matrix, rows in the order the row-based reference emits them.
+/// A node at or above an aggregate takes the optimizer's estimate, so it is
+/// not executed: no grouping, no filter or sort over groups, `prov: None`
+/// (see [`NodeTrace`]); a plan with an aggregate therefore returns an empty
+/// root batch with an empty schema. Whatever does not depend on the plan's
+/// literals is not redone per call: hash joins probe the join-key indexes
+/// the sample tables own ([`SampleTable::join_index`], built on first use
+/// and shared by every caller holding the catalog).
 pub fn execute_on_samples(plan: &Plan, samples: &SampleCatalog) -> ExecOutcome {
     crate::validate::debug_check(plan, None, Some(samples));
     crate::fault::fire_sample_pass_hook();
@@ -548,11 +579,14 @@ impl KeyPart {
     }
 }
 
-impl Executor<'_> {
-    fn exec(&mut self, id: NodeId) -> Batch {
+impl<'a> Executor<'a> {
+    fn exec(&mut self, id: NodeId) -> Batch<'a> {
         // Borrow the operator from the plan reference (not through `self`)
         // so recursion needs no per-node `Op` clone.
         let plan = self.plan;
+        if matches!(self.source, Source::Samples(_)) && plan.meta(id).agg_at_or_below {
+            return self.skip_at_or_above_aggregate(id);
+        }
         let batch = match plan.op(id) {
             Op::SeqScan { table, predicate } => self.scan(id, table, predicate),
             Op::IndexScan {
@@ -568,7 +602,7 @@ impl Executor<'_> {
             }
             Op::Materialize { input } => {
                 let child = self.exec(*input);
-                self.traces[id].left_input_rows = child.len;
+                self.record_inputs(id, child.len, 0);
                 child
             }
             Op::HashJoin {
@@ -610,20 +644,49 @@ impl Executor<'_> {
         batch
     }
 
-    fn scan(&mut self, id: NodeId, table: &str, predicate: &crate::expr::Pred) -> Batch {
-        let (schema, cols, with_prov): (Schema, &[ColumnRef], bool) = match &self.source {
-            Source::Full(catalog) => {
-                let t = catalog.table(table);
-                (t.schema().clone(), t.columns(), false)
-            }
-            Source::Samples(samples) => {
-                let occurrence = self.plan.meta(id).leaf_tables[0].occurrence;
-                let s = samples.sample(table, occurrence);
-                (s.table().schema().clone(), s.table().columns(), true)
-            }
-        };
+    fn record_inputs(&mut self, id: NodeId, left: usize, right: usize) {
+        let trace = &mut self.traces[id];
+        trace.left_input_rows = left;
+        trace.right_input_rows = right;
+    }
+
+    /// Sample mode, node at or above an aggregate: Algorithm 1 gives it the
+    /// optimizer's estimate and reads nothing of its execution, so none
+    /// happens. Its children still run — the subtree below the aggregate
+    /// holds the nodes that *are* estimated from samples — and their
+    /// output counts are recorded as this node's inputs.
+    fn skip_at_or_above_aggregate(&mut self, id: NodeId) -> Batch<'a> {
+        let mut inputs = [0usize; 2];
+        for (rows, child) in inputs.iter_mut().zip(self.plan.op(id).children()) {
+            *rows = self.exec(child).len;
+        }
+        let [left, right] = inputs;
+        self.record_inputs(id, left, right);
+        Batch {
+            schema: Schema::default(),
+            cols: Vec::new(),
+            len: 0,
+            prov: None,
+            sample: None,
+        }
+    }
+
+    fn scan(&mut self, id: NodeId, table: &str, predicate: &crate::expr::Pred) -> Batch<'a> {
+        let (schema, cols, sample): (Schema, &[ColumnRef], Option<&'a SampleTable>) =
+            match self.source {
+                Source::Full(catalog) => {
+                    let t = catalog.table(table);
+                    (t.schema().clone(), t.columns(), None)
+                }
+                Source::Samples(samples) => {
+                    let occurrence = self.plan.meta(id).leaf_tables[0].occurrence;
+                    let s = samples.sample(table, occurrence);
+                    (s.table().schema().clone(), s.table().columns(), Some(s))
+                }
+            };
+        let with_prov = sample.is_some();
         let input_len = cols.first().map_or(0, |c| c.len());
-        self.traces[id].left_input_rows = input_len;
+        self.record_inputs(id, input_len, 0);
         let bound = predicate.bind(&schema);
         let sel = bound.filter_columns(cols, input_len);
         let len = sel.len();
@@ -646,11 +709,12 @@ impl Executor<'_> {
             len,
             cols: out_cols,
             prov,
+            sample,
         }
     }
 
-    fn filter(&mut self, id: NodeId, child: Batch, predicate: &crate::expr::Pred) -> Batch {
-        self.traces[id].left_input_rows = child.len;
+    fn filter(&mut self, id: NodeId, child: Batch<'a>, predicate: &crate::expr::Pred) -> Batch<'a> {
+        self.record_inputs(id, child.len, 0);
         let bound = predicate.bind(&child.schema);
         let sel = bound.filter_slices(&child.cols, child.len);
         if sel.len() == child.len {
@@ -667,11 +731,12 @@ impl Executor<'_> {
             cols,
             len,
             prov,
+            sample: child.sample,
         }
     }
 
-    fn sort(&mut self, id: NodeId, child: Batch, keys: &[(String, SortOrder)]) -> Batch {
-        self.traces[id].left_input_rows = child.len;
+    fn sort(&mut self, id: NodeId, child: Batch<'a>, keys: &[(String, SortOrder)]) -> Batch<'a> {
+        self.record_inputs(id, child.len, 0);
         // Densify only the key columns (free when already dense): the
         // comparator runs hot and must not walk a selection chain per
         // probe. Payload columns stay lazy — the permutation is just one
@@ -705,19 +770,19 @@ impl Executor<'_> {
             cols,
             len: child.len,
             prov,
+            sample: None,
         }
     }
 
     fn hash_join(
         &mut self,
         id: NodeId,
-        left: Batch,
-        right: Batch,
+        left: Batch<'a>,
+        right: Batch<'a>,
         left_key: &str,
         right_key: &str,
-    ) -> Batch {
-        self.traces[id].left_input_rows = left.len;
-        self.traces[id].right_input_rows = right.len;
+    ) -> Batch<'a> {
+        self.record_inputs(id, left.len, right.len);
         let lk = left.schema.expect_index(left_key);
         let rk = right.schema.expect_index(right_key);
 
@@ -731,10 +796,51 @@ impl Executor<'_> {
         let mut ri_out: Vec<u32> = Vec::new();
         {
             let (lslice, rslice) = (left.col(lk), right.col(rk));
-            match (lslice.base().as_ref(), rslice.base().as_ref()) {
+            // Sample mode with the build side still a row subset of one
+            // sample table (`Batch::sample`; its columns are the table's, so
+            // `rk` is the table's column too): that table's shared key index
+            // already groups the steps by key. `None` in full mode, under a
+            // sort or a join, and for key types the index does not cover.
+            let (lbase, rbase) = (lslice.base().as_ref(), rslice.base().as_ref());
+            let indexed = match (lbase, right.sample, &right.prov) {
+                (ColumnData::Int(_), Some(sample), Some(prov)) if right.len > 0 => sample
+                    .join_index(rk)
+                    .map(|index| (index, sample.len(), prov)),
+                _ => None,
+            };
+            match (lbase, rbase, indexed) {
+                // No build at all: an unfiltered build side is the sample
+                // table itself, row = step, and the index's groups are the
+                // matches; a filtered one keeps a subset of the steps in
+                // step order, so mapping step -> row and dropping the
+                // filtered-out steps yields the same matches in the same
+                // (ascending build row) order a fresh build would.
+                (ColumnData::Int(lv), _, Some((index, steps, prov))) => {
+                    let row_of_step = (right.len < steps).then(|| rows_by_step(prov, steps));
+                    let mut li: u32 = 0;
+                    lslice.for_each_physical(|lp| {
+                        let matches = index.steps(lv[lp]);
+                        match &row_of_step {
+                            None => {
+                                li_out.extend(std::iter::repeat_n(li, matches.len()));
+                                ri_out.extend_from_slice(matches);
+                            }
+                            Some(row_of) => {
+                                for &step in matches {
+                                    let row = row_of[step as usize];
+                                    if row != FILTERED_OUT {
+                                        li_out.push(li);
+                                        ri_out.push(row);
+                                    }
+                                }
+                            }
+                        }
+                        li += 1;
+                    });
+                }
                 // Fast path: integer keys on both sides hash and compare as
                 // i64, read through the selection chains without densifying.
-                (ColumnData::Int(lv), ColumnData::Int(rv)) => {
+                (ColumnData::Int(lv), ColumnData::Int(rv), _) => {
                     let (ids, csr) = build_csr(right.len, |i| rv[rslice.physical(i)]);
                     let mut li: u32 = 0;
                     lslice.for_each_physical(|lp| {
@@ -746,7 +852,7 @@ impl Executor<'_> {
                         li += 1;
                     });
                 }
-                (lcol, rcol) => {
+                (lcol, rcol, _) => {
                     let (ids, csr) =
                         build_csr(right.len, |i| join_key_at(rcol, rslice.physical(i)));
                     for li in 0..left.len {
@@ -765,13 +871,12 @@ impl Executor<'_> {
     fn nl_join(
         &mut self,
         id: NodeId,
-        left: Batch,
-        right: Batch,
+        left: Batch<'a>,
+        right: Batch<'a>,
         left_key: &str,
         right_key: &str,
-    ) -> Batch {
-        self.traces[id].left_input_rows = left.len;
-        self.traces[id].right_input_rows = right.len;
+    ) -> Batch<'a> {
+        self.record_inputs(id, left.len, right.len);
         let lk = left.schema.expect_index(left_key);
         let rk = right.schema.expect_index(right_key);
 
@@ -796,7 +901,13 @@ impl Executor<'_> {
     /// Assembles a join result from matched (left, right) index pairs —
     /// as selection layers over the input slices, not fresh payloads: the
     /// match vectors become one shared selection per side.
-    fn join_output(&self, left: Batch, right: Batch, li: Vec<u32>, ri: Vec<u32>) -> Batch {
+    fn join_output(
+        &self,
+        left: Batch<'a>,
+        right: Batch<'a>,
+        li: Vec<u32>,
+        ri: Vec<u32>,
+    ) -> Batch<'a> {
         let schema = left.schema.concat(&right.schema);
         let len = li.len();
         let (li, ri) = (Arc::new(li), Arc::new(ri));
@@ -812,17 +923,18 @@ impl Executor<'_> {
             cols,
             len,
             prov,
+            sample: None,
         }
     }
 
     fn aggregate(
         &mut self,
         id: NodeId,
-        child: Batch,
+        child: Batch<'a>,
         group_by: &[String],
         aggs: &[(String, AggFunc)],
-    ) -> Batch {
-        self.traces[id].left_input_rows = child.len;
+    ) -> Batch<'a> {
+        self.record_inputs(id, child.len, 0);
         // The grouping/state loops index cells row-at-a-time and hot; this
         // is one of the sanctioned densification points — but only for the
         // columns the aggregate actually reads, never the whole batch.
@@ -932,7 +1044,7 @@ impl Executor<'_> {
 
         let mut out_schema_cols = Vec::new();
         for (g, col) in group_by.iter().zip(&group_cols) {
-            out_schema_cols.push(uaq_storage::Column::new(g.clone(), col.ty()));
+            out_schema_cols.push(uaq_storage::Column::new(g.as_str(), col.ty()));
         }
         for (name, func) in aggs {
             let ty = match func {
@@ -942,7 +1054,7 @@ impl Executor<'_> {
                     child.schema.column(child.schema.expect_index(c)).ty
                 }
             };
-            out_schema_cols.push(uaq_storage::Column::new(name.clone(), ty));
+            out_schema_cols.push(uaq_storage::Column::new(name.as_str(), ty));
         }
         let schema = Schema::new(out_schema_cols);
 
@@ -983,8 +1095,26 @@ impl Executor<'_> {
             cols: cols.into_iter().map(ColumnSlice::from).collect(),
             len: n_groups,
             prov: None,
+            sample: None,
         }
     }
+}
+
+/// [`rows_by_step`]'s marker for a sampling step the build side filtered out
+/// (no batch has `u32::MAX` rows: row ids are `u32`).
+const FILTERED_OUT: u32 = u32::MAX;
+
+/// For a batch that is a row subset of one sample table, with arity-1
+/// provenance `prov` over that table's `steps` sampling steps: the batch row
+/// holding each step, [`FILTERED_OUT`] for steps the batch dropped.
+fn rows_by_step(prov: &ProvData, steps: usize) -> Vec<u32> {
+    let mut row_of = vec![FILTERED_OUT; steps];
+    let mut row: u32 = 0;
+    prov.for_each_leaf_step(0, |step| {
+        row_of[step as usize] = row;
+        row += 1;
+    });
+    row_of
 }
 
 /// CSR-grouped hash-table payload: row indices grouped contiguously by

@@ -46,7 +46,8 @@ pub fn execute_full_rows(plan: &Plan, catalog: &Catalog) -> ExecOutcome {
 }
 
 /// Row-based reference: executes a plan against sample tables, tracking
-/// provenance.
+/// provenance. Same contract as [`crate::execute_on_samples`]: nodes at or
+/// above an aggregate are not executed.
 pub fn execute_on_samples_rows(plan: &Plan, samples: &SampleCatalog) -> ExecOutcome {
     crate::validate::debug_check(plan, None, Some(samples));
     let mut ex = Executor {
@@ -60,6 +61,21 @@ pub fn execute_on_samples_rows(plan: &Plan, samples: &SampleCatalog) -> ExecOutc
 
 impl<'a> Executor<'a> {
     fn exec(&mut self, id: NodeId) -> Batch {
+        // Sample mode does not execute a node at or above an aggregate (see
+        // `execute_on_samples`): it runs the children and records their
+        // output counts, nothing else.
+        if matches!(self.source, Source::Samples(_)) && self.plan.meta(id).agg_at_or_below {
+            let children = self.plan.op(id).children();
+            let rows: Vec<usize> = children.iter().map(|&c| self.exec(c).rows.len()).collect();
+            let trace = &mut self.traces[id];
+            trace.left_input_rows = rows.first().copied().unwrap_or(0);
+            trace.right_input_rows = rows.get(1).copied().unwrap_or(0);
+            return Batch {
+                schema: Schema::default(),
+                rows: Vec::new(),
+                prov: None,
+            };
+        }
         let batch = match self.plan.op(id).clone() {
             Op::SeqScan { table, predicate } => self.scan(id, &table, &predicate),
             Op::IndexScan {
@@ -76,7 +92,6 @@ impl<'a> Executor<'a> {
             Op::Materialize { input } => {
                 let child = self.exec(input);
                 self.traces[id].left_input_rows = child.rows.len();
-                self.traces[id].output_rows = child.rows.len();
                 child
             }
             Op::HashJoin {
@@ -359,7 +374,7 @@ impl<'a> Executor<'a> {
         let mut out_schema_cols = Vec::new();
         for (g, &gi) in group_by.iter().zip(&group_idx) {
             let col = child.schema.column(gi);
-            out_schema_cols.push(uaq_storage::Column::new(g.clone(), col.ty));
+            out_schema_cols.push(uaq_storage::Column::new(g.as_str(), col.ty));
         }
         for (name, func) in aggs {
             let ty = match func {
@@ -369,7 +384,7 @@ impl<'a> Executor<'a> {
                     child.schema.column(child.schema.expect_index(c)).ty
                 }
             };
-            out_schema_cols.push(uaq_storage::Column::new(name.clone(), ty));
+            out_schema_cols.push(uaq_storage::Column::new(name.as_str(), ty));
         }
         let schema = Schema::new(out_schema_cols);
 

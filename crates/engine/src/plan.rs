@@ -397,7 +397,7 @@ impl Plan {
                             in_schema.column(in_schema.expect_index(c)).ty
                         }
                     };
-                    cols.push(Column::new(name.clone(), ty));
+                    cols.push(Column::new(name.as_str(), ty));
                 }
                 Schema::new(cols)
             }

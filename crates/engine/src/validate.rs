@@ -1,8 +1,9 @@
 //! Static semantic validation of [`Plan`] trees.
 //!
 //! The executor trusts its input: `output_schema` panics on unknown
-//! columns, `Schema::concat` asserts away duplicate join outputs, and
-//! `Value`'s ordering panics when a string is ordered against a number.
+//! columns, `Schema::concat` checks for duplicate join outputs only in debug
+//! builds (in release the second column of a name is silently unreachable),
+//! and `Value`'s ordering panics when a string is ordered against a number.
 //! Those panics are fine for plans produced by [`crate::plan_query`] — the
 //! planner only lowers well-formed specs — but the service edge accepts
 //! `Arc<Plan>`s from callers, and ROADMAP item 1's SQL frontend will lower
@@ -467,12 +468,13 @@ fn check_node(
                     right_ty: rt,
                 });
             }
-            // `Schema::concat` asserts on duplicates; pre-empt it here.
+            // `Schema::concat` leaves duplicates to this check (it only
+            // debug-asserts): the per-execution path must not pay for it.
             for col in rs.columns() {
                 if ls.index_of(&col.name).is_some() {
                     return Err(PlanError::DuplicateJoinColumn {
                         node: id,
-                        column: col.name.clone(),
+                        column: col.name.to_string(),
                     });
                 }
             }
@@ -534,7 +536,7 @@ fn check_node(
                         in_schema.column(idx).ty
                     }
                 };
-                out_cols.push(uaq_storage::Column::new(name.clone(), ty));
+                out_cols.push(uaq_storage::Column::new(name.as_str(), ty));
             }
             // Aggregate output names may still collide (e.g. a group-by key
             // reused as an aggregate name) — `Schema::new` would assert.
@@ -543,7 +545,7 @@ fn check_node(
                     if a.name == b.name {
                         return Err(PlanError::DuplicateJoinColumn {
                             node: id,
-                            column: a.name.clone(),
+                            column: a.name.to_string(),
                         });
                     }
                 }

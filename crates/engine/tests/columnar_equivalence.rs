@@ -7,6 +7,12 @@
 //! Because all estimator math (`ρ_n`, `S_n²`, covariance bounds) consumes
 //! only `ExecOutcome`, equality here proves the columnar refactor cannot
 //! change any prediction.
+//!
+//! Sample mode executes only the nodes below the first aggregate on their
+//! root path (both executors; see `execute_on_samples`): there the two must
+//! agree on everything, provenance row order included, and at or above an
+//! aggregate both must have left the trace empty. Root rows and traces
+//! above aggregates are compared in full mode.
 
 use uaq_datagen::GenConfig;
 use uaq_engine::{
@@ -65,6 +71,15 @@ fn check_plan(plan: &Plan, catalog: &Catalog, samples: &SampleCatalog, label: &s
     let samp_col = execute_on_samples(plan, samples);
     let samp_row = execute_on_samples_rows(plan, samples);
     assert_outcomes_equal(&samp_col, &samp_row, &format!("{label} [sample]"));
+    for id in plan.node_ids() {
+        let trace = &samp_col.traces[id];
+        if plan.meta(id).agg_at_or_below {
+            assert!(trace.prov.is_none(), "{label}: node {id} was executed");
+            assert_eq!(trace.output_rows, 0, "{label}: node {id} was executed");
+        } else {
+            assert!(trace.prov.is_some(), "{label}: node {id} lost its prov");
+        }
+    }
 }
 
 fn check_benchmark(benchmark: Benchmark, instances: usize, seed: u64) {
@@ -155,9 +170,193 @@ fn edge_shapes_are_equivalent() {
     check_plan(&b.build(a), &catalog, &samples, "empty-scalar-agg");
 }
 
+/// Small relations with heavily duplicated Int join keys (`t.a`, `u.x`,
+/// `w.p` all in `0..6`) and a Float column, for the sample-mode joins that
+/// probe a sample table's shared key index.
+fn dup_key_catalog() -> Catalog {
+    use uaq_storage::{Column, Schema, Table};
+    let mut catalog = Catalog::new();
+    for (name, cols, n, modulus) in [
+        ("t", ["a", "b", "tf"], 240i64, 6i64),
+        ("u", ["x", "y", "uf"], 160, 5),
+        ("w", ["p", "q", "wf"], 90, 4),
+    ] {
+        let schema = Schema::new(vec![
+            Column::int(cols[0]),
+            Column::int(cols[1]),
+            Column::float(cols[2]),
+        ]);
+        let rows = (0..n)
+            .map(|i| {
+                vec![
+                    Value::Int(i % modulus),
+                    Value::Int(i),
+                    Value::Float((i % modulus) as f64),
+                ]
+            })
+            .collect();
+        catalog.add_table(Table::new(name, schema, rows));
+    }
+    catalog
+}
+
+/// Every way a hash join's build side can reach the shared join index —
+/// and every way it must fall back to a fresh build — against the row-based
+/// reference: same cardinalities, same provenance in the same row order.
+#[test]
+fn indexed_sample_joins_are_equivalent() {
+    let catalog = dup_key_catalog();
+    let samples = catalog.draw_samples(0.5, 2, &mut Rng::new(77));
+    let check = |label: &str, build: &dyn Fn(&mut PlanBuilder) -> usize| {
+        let mut b = PlanBuilder::new();
+        let root = build(&mut b);
+        check_plan(&b.build(root), &catalog, &samples, label);
+    };
+
+    // Indexed: the build side is a row subset of one sample table.
+    check("unfiltered build", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let r = b.seq_scan("u", Pred::True);
+        b.hash_join(l, r, "a", "x")
+    });
+    check("filtered build, filtered probe", &|b| {
+        let l = b.seq_scan("t", Pred::lt("b", Value::Int(100)));
+        let r = b.seq_scan("u", Pred::ge("y", Value::Int(40)));
+        b.hash_join(l, r, "a", "x")
+    });
+    check("empty build", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let r = b.seq_scan("u", Pred::lt("y", Value::Int(-1)));
+        b.hash_join(l, r, "a", "x")
+    });
+    check("build under Filter chain and Materialize", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let r = b.seq_scan("u", Pred::ge("y", Value::Int(10)));
+        let r = b.filter(r, Pred::lt("y", Value::Int(120)));
+        let r = b.materialize(r);
+        let r = b.filter(r, Pred::ge("x", Value::Int(1)));
+        b.hash_join(l, r, "a", "x")
+    });
+    check("build under a keep-everything Filter", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let r = b.seq_scan("u", Pred::True);
+        let r = b.filter(r, Pred::ge("y", Value::Int(0)));
+        b.hash_join(l, r, "a", "x")
+    });
+    check("left-deep: both joins indexed", &|b| {
+        let l = b.seq_scan("t", Pred::lt("b", Value::Int(200)));
+        let r = b.seq_scan("u", Pred::True);
+        let j = b.hash_join(l, r, "a", "x");
+        let w = b.seq_scan("w", Pred::ge("q", Value::Int(5)));
+        b.hash_join(j, w, "x", "p")
+    });
+
+    // Fallback: more than one leaf, reordered rows, uncovered key types.
+    check("bushy build side", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let u = b.seq_scan("u", Pred::True);
+        let w = b.seq_scan("w", Pred::True);
+        let r = b.hash_join(u, w, "x", "p");
+        b.hash_join(l, r, "a", "x")
+    });
+    check("Sort on the build side", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let r = b.seq_scan("u", Pred::lt("y", Value::Int(90)));
+        let r = b.sort(r, vec![("y".into(), SortOrder::Desc)]);
+        b.hash_join(l, r, "a", "x")
+    });
+    check("Float build key", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let r = b.seq_scan("u", Pred::True);
+        b.hash_join(l, r, "tf", "uf")
+    });
+    check("Float probe key on an Int build column", &|b| {
+        let l = b.seq_scan("t", Pred::True);
+        let r = b.seq_scan("u", Pred::True);
+        b.hash_join(l, r, "tf", "x")
+    });
+}
+
+/// A relation scanned twice: the IR has no column renaming, so two
+/// occurrences can only meet above an aggregate — where sample mode stops —
+/// but each still feeds an indexed join below it. Occurrence 1 must read
+/// sample copy 1 *and copy 1's index*, not copy 0's.
+#[test]
+fn repeated_relation_probes_its_own_copys_index() {
+    let catalog = dup_key_catalog();
+    let samples = catalog.draw_samples(0.5, 2, &mut Rng::new(78));
+    let mut b = PlanBuilder::new();
+    let u = b.seq_scan("u", Pred::True);
+    let t0 = b.seq_scan("t", Pred::True);
+    let j0 = b.hash_join(u, t0, "x", "a");
+    let cnt = b.aggregate(j0, vec![], vec![("cnt".into(), AggFunc::CountStar)]);
+    let w = b.seq_scan("w", Pred::True);
+    let t1 = b.seq_scan("t", Pred::ge("b", Value::Int(30)));
+    let j1 = b.hash_join(w, t1, "p", "a");
+    let root = b.hash_join(cnt, j1, "cnt", "q");
+    let plan = b.build(root);
+    check_plan(&plan, &catalog, &samples, "repeated relation");
+
+    let out = execute_on_samples(&plan, &samples);
+    let copies = [samples.sample("t", 0), samples.sample("t", 1)];
+    assert_ne!(copies[0].table().rows(), copies[1].table().rows());
+    for (join, probe, copy) in [(j0, "u", 0), (j1, "w", 1)] {
+        let prov = out.traces[join].prov.as_ref().expect("below the aggregate");
+        assert!(prov.rows() > 0);
+        let probe_rows = samples.sample(probe, 0).table().rows();
+        let build_rows = copies[copy].table().rows();
+        for i in 0..prov.rows() {
+            let [p, t] = prov.row(i) else {
+                panic!("arity 2")
+            };
+            assert_eq!(probe_rows[*p as usize][0], build_rows[*t as usize][0]);
+        }
+    }
+}
+
+/// First use is racy by design: workers share one `Arc<SampleCatalog>` and
+/// whichever gets there first builds a table's index. Released together on
+/// a fresh catalog, every thread must see the same traces as the row-based
+/// reference.
+#[test]
+fn concurrent_first_use_of_the_index_is_deterministic() {
+    use std::sync::{Arc, Barrier};
+    let catalog = dup_key_catalog();
+    let mut b = PlanBuilder::new();
+    let l = b.seq_scan("t", Pred::lt("b", Value::Int(200)));
+    let r = b.seq_scan("u", Pred::ge("y", Value::Int(20)));
+    let j = b.hash_join(l, r, "a", "x");
+    let w = b.seq_scan("w", Pred::True);
+    let root = b.hash_join(j, w, "x", "p");
+    let plan = b.build(root);
+
+    for round in 0..8 {
+        let samples = Arc::new(catalog.draw_samples(0.5, 1, &mut Rng::new(round)));
+        let threads = 4;
+        let barrier = Barrier::new(threads);
+        let outcomes: Vec<ExecOutcome> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        execute_on_samples(&plan, &samples)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sample pass panicked"))
+                .collect()
+        });
+        let reference = execute_on_samples_rows(&plan, &samples);
+        for (i, out) in outcomes.iter().enumerate() {
+            assert_outcomes_equal(out, &reference, &format!("round {round} thread {i}"));
+        }
+    }
+}
+
 /// String and mixed Int/Float join keys exercise the generic (non-i64) hash
-/// path, including `Value`'s cross-type numeric equality; a repeated
-/// relation checks independent sample copies per occurrence.
+/// path, including `Value`'s cross-type numeric equality.
 #[test]
 fn generic_join_keys_are_equivalent() {
     use uaq_storage::{Column, Schema, Table};

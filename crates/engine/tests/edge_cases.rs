@@ -99,11 +99,21 @@ fn aggregate_above_aggregate_uses_optimizer_path() {
     // 5 groups of 20 rows each, all > 10.
     assert_eq!(out.rows()[0][0], Value::Int(5));
 
-    // The same plan must run over samples without provenance panics.
+    // The same plan must run over samples without provenance panics. Sample
+    // mode executes only what sits below the first aggregate: the scan keeps
+    // its provenance, everything at or above `a1` is skipped.
     let mut rng = Rng::new(3);
     let samples = c.draw_samples(0.5, 1, &mut rng);
     let sout = execute_on_samples(&plan, &samples);
-    assert_eq!(sout.num_rows(), 1);
+    assert_eq!(sout.num_rows(), 0);
+    let scanned = samples.sample("t", 0).len();
+    assert_eq!(sout.traces[s].output_rows, scanned);
+    assert!(sout.traces[s].prov.is_some());
+    assert_eq!(sout.traces[a1].left_input_rows, scanned);
+    for id in [a1, f, a2] {
+        assert!(sout.traces[id].prov.is_none(), "node {id}");
+        assert_eq!(sout.traces[id].output_rows, 0, "node {id}");
+    }
 }
 
 #[test]

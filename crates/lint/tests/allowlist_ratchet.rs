@@ -6,10 +6,11 @@
 
 use uaq_lint::allowlist::Allowlist;
 
-/// Snapshot at PR 10 (the PR that introduced the linter): 48 entries
-/// excusing 565 audited sites. Lower either number when you remove sites.
+/// 48 entries excusing 560 audited sites (565 at PR 10, which introduced the
+/// linter; PR 12 folded the executor's per-operator trace writes into one).
+/// Lower either number when you remove sites.
 const MAX_ENTRIES: usize = 48;
-const MAX_TOTAL_BUDGET: usize = 565;
+const MAX_TOTAL_BUDGET: usize = 560;
 
 fn load() -> Allowlist {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint-allowlist.txt");

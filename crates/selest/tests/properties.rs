@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 use uaq_engine::{execute_full, execute_on_samples, PlanBuilder, Pred};
-use uaq_selest::{cov_bounds, estimate_selectivities, shared_leaves, SelSource};
+use uaq_selest::{
+    cov_bounds, estimate_selectivities, shared_leaves, AggCardinalitySource, SelEstimates,
+    SelSource,
+};
 use uaq_stats::Rng;
 use uaq_storage::{Catalog, Column, Schema, Table, Value};
 
@@ -147,5 +150,34 @@ proptest! {
             (mean - truth).abs() < (0.5 * truth).max(0.02),
             "mean {mean} vs truth {truth}"
         );
+    }
+}
+
+/// A sample table's join index lives in the table and dies with it. The
+/// regression this pins: an index cache keyed by column address served
+/// catalog A's index to catalog B after A was dropped and B's columns were
+/// allocated at the same addresses, silently shifting B's estimates.
+#[test]
+fn a_dropped_catalogs_join_index_never_leaks_into_the_next() {
+    let rows = |n: i64, m: i64| (0..n).map(|i| (i % m, i)).collect::<Vec<_>>();
+    let c = catalog(&rows(400, 7), &rows(300, 5));
+    let mut b = PlanBuilder::new();
+    let l = b.seq_scan("t", Pred::lt("b", Value::Int(300)));
+    let r = b.seq_scan("u", Pred::ge("y", Value::Int(20)));
+    let j = b.hash_join(l, r, "a", "x");
+    let plan = b.build(j);
+    let estimate = |seed: u64| {
+        let samples = c.draw_samples(0.25, 1, &mut Rng::new(seed));
+        SelEstimates::compute(&plan, &samples, &c, AggCardinalitySource::Optimizer)
+            .canonical_bytes()
+    };
+    for (seed_a, seed_b) in [(1, 2), (3, 4), (5, 6), (7, 8)] {
+        let b_only = estimate(seed_b);
+        // Draw A, predict, drop A; draw B (same shapes and sizes, so the
+        // allocator tends to hand back A's addresses), predict.
+        let a = estimate(seed_a);
+        let b_after_a = estimate(seed_b);
+        assert_ne!(a, b_only, "different draws must differ");
+        assert_eq!(b_after_a, b_only, "seeds {seed_a} then {seed_b}");
     }
 }

@@ -33,10 +33,10 @@ impl TableStats {
                     numeric.push(x);
                 }
             }
-            distinct.insert(col.name.clone(), seen.len());
+            distinct.insert(col.name.to_string(), seen.len());
             if !numeric.is_empty() {
                 histograms.insert(
-                    col.name.clone(),
+                    col.name.to_string(),
                     Histogram::build(&numeric, HISTOGRAM_BUCKETS),
                 );
             }
@@ -318,6 +318,11 @@ mod tests {
         assert_ne!(a.fingerprint(), d.fingerprint());
         // Clones share contents and fingerprint.
         assert_eq!(a.clone().fingerprint(), a.fingerprint());
+        // A lazily built join index is derived data: not part of the digest.
+        a.sample("r", 0).join_index(0).expect("id is Int");
+        let indexed_clone = a.clone();
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(indexed_clone.fingerprint(), b.fingerprint());
     }
 
     #[test]

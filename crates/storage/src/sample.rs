@@ -12,9 +12,74 @@
 //! two children of the same join must not share samples of a common base
 //! relation (Lemma 2); the catalog therefore supports several *independent*
 //! sample tables per relation, addressed by a copy index.
+//!
+//! Sample tables are drawn once and read by every prediction, so what a
+//! sample-mode hash join needs from its build side that does not depend on
+//! the request — which steps hold which join key — is computed once per
+//! table and column ([`SampleTable::join_index`]) instead of once per
+//! execution.
 
+use crate::column::ColumnData;
 use crate::table::Table;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 use uaq_stats::Rng;
+
+/// Join-key index over one `Int` column of a sample table: key → the
+/// sampling steps holding it, ascending (the order a hash join over the
+/// unfiltered table emits its matches in).
+#[derive(Debug, Clone)]
+pub struct JoinIndex {
+    /// Key → its `start..end` range of `steps`.
+    ranges: HashMap<i64, (u32, u32)>,
+    /// Step positions grouped by key, ascending within a group.
+    steps: Vec<u32>,
+}
+
+impl JoinIndex {
+    fn build(keys: &[i64]) -> Self {
+        // Sorting (key, step) pairs groups equal keys with their steps
+        // ascending; one pass over the runs records each key's range.
+        let mut pairs: Vec<(i64, u32)> = keys.iter().copied().zip(0u32..).collect();
+        pairs.sort_unstable();
+        let mut ranges = HashMap::new();
+        let mut start = 0u32;
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len() as u32;
+            if let Some(&(key, _)) = run.first() {
+                ranges.insert(key, (start, end));
+            }
+            start = end;
+        }
+        Self {
+            ranges,
+            steps: pairs.into_iter().map(|(_, step)| step).collect(),
+        }
+    }
+
+    /// The steps whose key equals `key`, ascending; empty if none does.
+    pub fn steps(&self, key: i64) -> &[u32] {
+        self.ranges
+            .get(&key)
+            .and_then(|&(start, end)| self.steps.get(start as usize..end as usize))
+            .unwrap_or(&[])
+    }
+}
+
+/// One lazily built [`JoinIndex`] slot per column (`None` inside: the
+/// column is not `Int`). Lives in the table it describes, so it can never
+/// outlive or be confused with another table's. An index is a pure function
+/// of the immutable sample rows, hence invisible to `Debug` and to the
+/// catalog fingerprint whether or not it has been built yet.
+#[derive(Clone)]
+struct JoinIndexes(Vec<OnceLock<Option<JoinIndex>>>);
+
+impl fmt::Debug for JoinIndexes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("JoinIndexes(..)")
+    }
+}
 
 /// One i.i.d.-with-replacement sample of a base relation.
 #[derive(Debug, Clone)]
@@ -28,6 +93,8 @@ pub struct SampleTable {
     copy: usize,
     /// The sampled rows; row `j` is sampling step `j`.
     table: Table,
+    /// Join-key indexes over `table`'s columns, built on first use.
+    join_indexes: JoinIndexes,
 }
 
 impl SampleTable {
@@ -55,6 +122,7 @@ impl SampleTable {
             base_name: base.name().to_string(),
             base_rows: base.len(),
             copy,
+            join_indexes: JoinIndexes(vec![OnceLock::new(); table.columns().len()]),
             table,
         }
     }
@@ -89,6 +157,23 @@ impl SampleTable {
     /// Effective sampling ratio `n_k / |R|`.
     pub fn ratio(&self) -> f64 {
         self.len() as f64 / self.base_rows as f64
+    }
+
+    /// The join-key index of column `col`, built on the first call and
+    /// shared by every later one — across threads too: concurrent first
+    /// calls build it once (`OnceLock`). `None` for a column the index does
+    /// not cover (non-`Int`, or out of range). Not built at draw time: a
+    /// Monte-Carlo run draws a fresh catalog per iteration and must not
+    /// pay for indexes of columns it never joins on.
+    pub fn join_index(&self, col: usize) -> Option<&JoinIndex> {
+        self.join_indexes
+            .0
+            .get(col)?
+            .get_or_init(|| match self.table.columns().get(col).map(|c| c.as_ref()) {
+                Some(ColumnData::Int(keys)) => Some(JoinIndex::build(keys)),
+                _ => None,
+            })
+            .as_ref()
     }
 }
 
@@ -182,6 +267,49 @@ mod tests {
             .filter(|(a, b)| a[0] == b[0])
             .count();
         assert!(same < 5, "copies look identical ({same} matches)");
+    }
+
+    #[test]
+    fn join_index_groups_steps_by_key_ascending() {
+        let schema = Schema::new(vec![Column::int("k"), Column::str("s")]);
+        let rows = (0..7)
+            .map(|i| vec![Value::Int(i % 3), Value::str("x")])
+            .collect();
+        let b = Table::new("base", schema, rows);
+        let s = SampleTable::draw(&b, 200, 0, &mut Rng::new(6));
+        let ColumnData::Int(keys) = s.table().columns()[0].as_ref() else {
+            panic!("k is Int")
+        };
+        let index = s.join_index(0).expect("Int column is indexed");
+        for key in -1..4 {
+            let want: Vec<u32> = (0..keys.len() as u32)
+                .filter(|&j| keys[j as usize] == key)
+                .collect();
+            assert_eq!(index.steps(key), want, "key {key}");
+        }
+        // Same allocation on every later call; no index for other types or
+        // columns that do not exist.
+        assert!(std::ptr::eq(index, s.join_index(0).expect("built")));
+        assert!(s.join_index(1).is_none());
+        assert!(s.join_index(2).is_none());
+    }
+
+    #[test]
+    fn building_an_index_is_invisible_to_debug_and_clone() {
+        let b = base(50);
+        let s = SampleTable::draw(&b, 30, 0, &mut Rng::new(7));
+        let before = format!("{s:?}");
+        let cold_clone = s.clone();
+        s.join_index(0).expect("Int column");
+        assert_eq!(format!("{s:?}"), before);
+        // A clone works the same whether or not its source had built one.
+        for c in [cold_clone, s.clone()] {
+            assert_eq!(format!("{c:?}"), before);
+            assert_eq!(
+                c.join_index(0).expect("Int").steps(3),
+                s.join_index(0).expect("Int").steps(3)
+            );
+        }
     }
 
     #[test]

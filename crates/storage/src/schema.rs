@@ -2,6 +2,7 @@
 
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// Column data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -11,48 +12,48 @@ pub enum ColumnType {
     Str,
 }
 
-/// A named, typed column.
+/// A named, typed column. The name is an `Arc<str>`, so cloning a column —
+/// which [`Schema::concat`] does for every column of every join, every
+/// execution — is a refcount bump, not a string copy.
 #[derive(Debug, Clone)]
 pub struct Column {
-    pub name: String,
+    pub name: Arc<str>,
     pub ty: ColumnType,
 }
 
 impl Column {
-    pub fn new(name: impl Into<String>, ty: ColumnType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, ty: ColumnType) -> Self {
         Self {
             name: name.into(),
             ty,
         }
     }
 
-    pub fn int(name: impl Into<String>) -> Self {
+    pub fn int(name: impl Into<Arc<str>>) -> Self {
         Self::new(name, ColumnType::Int)
     }
 
-    pub fn float(name: impl Into<String>) -> Self {
+    pub fn float(name: impl Into<Arc<str>>) -> Self {
         Self::new(name, ColumnType::Float)
     }
 
-    pub fn str(name: impl Into<String>) -> Self {
+    pub fn str(name: impl Into<Arc<str>>) -> Self {
         Self::new(name, ColumnType::Str)
     }
 }
 
 /// An ordered list of columns. Backed by an `Arc` slice so the executor can
-/// clone schemas per operator per execution for the cost of a refcount bump
-/// (column names are `String`s; deep-cloning them dominated small sample
-/// runs).
+/// clone schemas per operator per execution for the cost of a refcount bump.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
-    columns: std::sync::Arc<[Column]>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
     pub fn new(columns: Vec<Column>) -> Self {
         let mut names = std::collections::HashSet::new();
         for c in &columns {
-            assert!(names.insert(c.name.clone()), "duplicate column {}", c.name);
+            assert!(names.insert(&*c.name), "duplicate column {}", c.name);
         }
         Self {
             columns: columns.into(),
@@ -73,7 +74,7 @@ impl Schema {
 
     /// Index of a column by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
+        self.columns.iter().position(|c| &*c.name == name)
     }
 
     /// Index of a column by name, panicking with context if absent.
@@ -83,7 +84,7 @@ impl Schema {
                 "no column {name:?} in schema [{}]",
                 self.columns
                     .iter()
-                    .map(|c| c.name.as_str())
+                    .map(|c| &*c.name)
                     .collect::<Vec<_>>()
                     .join(", ")
             )
@@ -95,11 +96,26 @@ impl Schema {
     }
 
     /// Concatenation of two schemas (the output schema of a join), prefixing
-    /// nothing: callers are expected to have disambiguated names already.
+    /// nothing: callers are expected to have disambiguated names already —
+    /// `uaq_engine::validate` rejects duplicate join outputs, so only debug
+    /// builds re-check. Runs per join per execution: one allocation and one
+    /// refcount bump per column, no string is copied or hashed.
     pub fn concat(&self, other: &Schema) -> Schema {
-        let mut columns: Vec<Column> = self.columns.to_vec();
-        columns.extend(other.columns.iter().cloned());
-        Schema::new(columns)
+        debug_assert!(
+            other
+                .columns
+                .iter()
+                .all(|c| self.index_of(&c.name).is_none()),
+            "duplicate column joining {self} with {other}"
+        );
+        Schema {
+            columns: self
+                .columns
+                .iter()
+                .chain(other.columns.iter())
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Checks a row against the schema (debug validation).

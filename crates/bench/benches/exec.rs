@@ -1,14 +1,12 @@
 //! Criterion benchmarks for the execution data plane in isolation: raw
-//! full-mode and sample-mode plan execution throughput, columnar executor
-//! vs. the row-based reference (`exec_row`), so future PRs can track the
-//! data plane without the estimator/predictor layers on top.
+//! full-mode and sample-mode plan execution throughput, so future PRs can
+//! track the data plane without the estimator/predictor layers on top.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use uaq_datagen::GenConfig;
 use uaq_engine::{
-    execute_full, execute_full_rows, execute_on_samples, execute_on_samples_rows, plan_query,
-    JoinStep, Plan, Pred, QuerySpec, TableRef,
+    execute_full, execute_on_samples, plan_query, JoinStep, Plan, Pred, QuerySpec, TableRef,
 };
 use uaq_stats::Rng;
 use uaq_storage::{Catalog, Value};
@@ -97,14 +95,6 @@ fn bench_exec(c: &mut Criterion) {
     });
     group.bench_function("sample/join3", |b| {
         b.iter(|| execute_on_samples(&join3, &samples))
-    });
-
-    // The row-based reference on the same plans prices the columnar win.
-    group.bench_function("rowref/full/join3", |b| {
-        b.iter(|| execute_full_rows(&join3, &catalog))
-    });
-    group.bench_function("rowref/sample/join3", |b| {
-        b.iter(|| execute_on_samples_rows(&join3, &samples))
     });
     group.finish();
 }

@@ -17,14 +17,19 @@
 //!
 //! # Columnar data plane
 //!
-//! Intermediate results flow between operators as a [`Batch`]: one typed
-//! vector per column ([`ColumnData`], mirroring the 3-type `Value` model)
-//! plus a *flat* provenance matrix ([`ProvData`]) instead of the former
-//! per-row `Vec<Vec<u32>>`. The operator kernels work on row *indices*:
+//! Intermediate results flow between operators as a [`Batch`]: one
+//! [`uaq_storage::ColumnSlice`] per column plus a *flat* provenance matrix
+//! ([`ProvData`]). A slice is an `Arc`-shared typed base column
+//! ([`uaq_storage::ColumnRef`]) behind a chain of `Arc`-shared selection
+//! vectors; **a dense column is the slice with an empty chain**, not a
+//! second representation. The operator kernels work on row *indices*:
 //!
-//! * **selection** produces an index vector via vectorized typed-column
-//!   loops ([`crate::expr::BoundPred::filter_slices`]) that becomes a
-//!   shared selection layer — no gather;
+//! * **selection** — scans and filters alike — is the one predicate kernel
+//!   family, [`crate::expr::BoundPred::filter_slices`]: typed loops over the
+//!   base column that emit logical row indices. A scan wraps the table's
+//!   columns in dense slices and calls it; the kernel sees the empty chain
+//!   and runs a plain pass. The surviving indices become one shared
+//!   selection layer over every column — no gather;
 //! * **hash join** builds its hash table on borrowed keys (primitive `i64`
 //!   fast path, or a [`JoinKey`]-style borrowed view mirroring `Value`
 //!   equality) with row-index payloads — no row is cloned until the final
@@ -34,19 +39,22 @@
 //! * **hash aggregation** groups on interned key ids (one hash probe per
 //!   input row resolving to a dense group index);
 //! * **provenance** is carried end-to-end as the flat `arity × rows` matrix
-//!   the estimator already consumes, so per-node traces are a plain clone.
+//!   the estimator already consumes, so per-node traces are a handle copy.
 //!
-//! # Zero-copy columns, selection vectors, and lazy rows
+//! What a predicate *means* is defined once, on rows:
+//! [`crate::expr::BoundPred::eval`] over `Value`'s equality and ordering is
+//! the reference semantics, and the kernels are tested against it shape by
+//! shape and selection depth by selection depth.
 //!
-//! Columns travel as [`uaq_storage::ColumnSlice`] — an `Arc`-shared base
-//! column ([`uaq_storage::ColumnRef`]) behind an optional chain of
-//! `Arc`-shared selection vectors. A pass-through operator (an unfiltered
-//! scan, a keep-everything filter, a materialize) shares payloads for the
-//! price of a refcount bump; a *selective* operator (filter, join output,
-//! sort) layers **one shared selection vector** over all of its input's
-//! columns and copies nothing. Selection-over-selection composes, and
-//! chains deeper than [`uaq_storage::MAX_SELECTION_DEPTH`] are flattened
-//! into one composed vector so reads stay cache-friendly.
+//! # Deferred gathers and lazy rows
+//!
+//! A pass-through operator (an unfiltered scan, a keep-everything filter, a
+//! materialize) shares payloads for the price of a refcount bump; a
+//! *selective* operator (filter, join output, sort) layers **one shared
+//! selection vector** over all of its input's columns and copies nothing.
+//! Selection-over-selection composes, and chains deeper than
+//! [`uaq_storage::MAX_SELECTION_DEPTH`] are flattened into one composed
+//! vector so reads stay cache-friendly.
 //!
 //! Gathers are deferred to the consumers that genuinely need dense cells:
 //! aggregation state build and sort keys densify the columns they read
@@ -57,14 +65,16 @@
 //! and per-node trace storage are handle copies, not `arity × rows`
 //! gathers.
 //!
-//! [`ExecOutcome`] is columnar: schema, shared root slices, and traces.
-//! **Rows are opt-in at the edge** via [`ExecOutcome::rows`] /
-//! [`ExecOutcome::row_iter`] / the paged [`ExecOutcome::row_pages`] — the
-//! prediction path (selectivity estimation, cost fitting, experiments)
-//! reads only traces and never pays for row materialization. The row-based
-//! reference executor ([`crate::exec_row`]) and the golden equivalence
-//! tests are the only row-eager consumers left, which is exactly what
-//! proves the zero-copy plane changes nothing observable.
+//! [`ExecOutcome`] has one representation: schema, the root slices, and
+//! traces. **Rows are opt-in at the edge** via [`ExecOutcome::rows`] or the
+//! paged [`ExecOutcome::row_pages`] — the prediction path (selectivity
+//! estimation, cost fitting, experiments) reads only traces and never pays
+//! for row materialization.
+//!
+//! This is the only executor in the library. The row-at-a-time executor it
+//! replaced lives on, unoptimized, as the oracle in the engine's test
+//! support (`crates/engine/tests/exec_row/`): the golden equivalence tests
+//! compare rows, traces and provenance against it bit for bit.
 
 use crate::expr::cell_pair_eq;
 use crate::plan::{AggFunc, NodeId, Op, Plan, SortOrder};
@@ -73,8 +83,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use uaq_storage::{
-    rows_from_columns, Catalog, ColumnData, ColumnRef, ColumnSlice, Row, SampleCatalog,
-    SampleTable, Schema, Value,
+    order_f64, Catalog, ColumnData, ColumnRef, ColumnSlice, Row, SampleCatalog, SampleTable,
+    Schema, Value,
 };
 
 /// Flattened provenance matrix of one operator's sample-mode output:
@@ -172,16 +182,6 @@ impl ProvData {
         }
     }
 
-    /// New *dense* matrix containing rows `idx[0], idx[1], …` of `self`
-    /// (an eager copy; operators use [`ProvData::select`] instead).
-    pub fn gather_rows(&self, idx: &[u32]) -> ProvData {
-        let mut data = Vec::with_capacity(idx.len() * self.arity);
-        for &i in idx {
-            data.extend_from_slice(self.row(i as usize));
-        }
-        ProvData::new(self.arity, data)
-    }
-
     /// Row-wise concatenation: output row `k` is `left.row(li[k]) ++
     /// right.row(ri[k])` (the provenance of a join's output).
     pub fn join_rows(left: &ProvData, li: &[u32], right: &ProvData, ri: &[u32]) -> ProvData {
@@ -233,37 +233,34 @@ pub struct NodeTrace {
 /// Result of executing a plan: a **columnar** value. The root columns are
 /// `Arc`-shared with whatever produced them (for a pass-through plan, the
 /// base table itself), and rows are materialized only when a consumer
-/// explicitly asks via [`ExecOutcome::rows`] or [`ExecOutcome::row_iter`].
+/// explicitly asks via [`ExecOutcome::rows`] or [`ExecOutcome::row_pages`].
 ///
 /// Contract for consumers: do **not** assume rows exist. Everything on the
 /// prediction path (`uaq_selest`, `uaq_core`, `uaq_experiments`,
 /// `uaq_service`) reads only `traces`, `schema`, and cardinalities; row
 /// materialization is an edge concern (query answers, debugging, the golden
-/// equivalence oracle).
+/// equivalence tests).
 #[derive(Debug)]
 pub struct ExecOutcome {
     /// Output schema of the root operator.
     pub schema: Schema,
     /// Root output slices exactly as the executor produced them — possibly
     /// selection views over shared base columns, never densified just to
-    /// be stored. `None` for rows-seeded outcomes (the row-based reference
-    /// executor).
-    slices: Option<Vec<ColumnSlice>>,
+    /// be stored.
+    slices: Vec<ColumnSlice>,
     /// Lazy dense mirror, built from `slices` on first
-    /// [`ExecOutcome::columns`] call (or from the row mirror for a
-    /// rows-seeded outcome).
+    /// [`ExecOutcome::columns`] call.
     columns: OnceLock<Vec<ColumnRef>>,
     /// Root output cardinality.
     num_rows: usize,
-    /// Lazy row mirror, built on first [`ExecOutcome::rows`] call. The
-    /// row-based reference executor seeds it eagerly (its native format).
+    /// Lazy row mirror, built on first [`ExecOutcome::rows`] call.
     rows: OnceLock<Vec<Row>>,
     /// Per-node traces, indexed by `NodeId`.
     pub traces: Vec<NodeTrace>,
 }
 
 impl ExecOutcome {
-    fn columnar(
+    fn new(
         schema: Schema,
         slices: Vec<ColumnSlice>,
         num_rows: usize,
@@ -272,24 +269,10 @@ impl ExecOutcome {
         debug_assert!(slices.iter().all(|c| c.len() == num_rows));
         Self {
             schema,
-            slices: Some(slices),
+            slices,
             columns: OnceLock::new(),
             num_rows,
             rows: OnceLock::new(),
-            traces,
-        }
-    }
-
-    /// Wraps a row-major result (the reference executor's native output):
-    /// rows are kept as-is; the columnar mirror is built only if someone
-    /// asks for [`ExecOutcome::columns`].
-    pub(crate) fn from_rows(schema: Schema, rows: Vec<Row>, traces: Vec<NodeTrace>) -> Self {
-        Self {
-            schema,
-            slices: None,
-            columns: OnceLock::new(),
-            num_rows: rows.len(),
-            rows: OnceLock::from(rows),
             traces,
         }
     }
@@ -304,11 +287,10 @@ impl ExecOutcome {
     }
 
     /// The root output as the executor's late-materialized slices — shared
-    /// base columns behind selection chains, no payload copies. `None` for
-    /// a rows-seeded (reference-executor) outcome. Lets tests observe
-    /// deferral: sharing, chain depth, and the flatten bound.
-    pub fn slices(&self) -> Option<&[ColumnSlice]> {
-        self.slices.as_deref()
+    /// base columns behind selection chains, no payload copies. Lets tests
+    /// observe deferral: sharing, chain depth, and the flatten bound.
+    pub fn slices(&self) -> &[ColumnSlice] {
+        &self.slices
     }
 
     /// Column-major *dense* view of the root output, built (and cached) on
@@ -316,16 +298,8 @@ impl ExecOutcome {
     /// dense and the base handles are shared, not copied; selective plans
     /// pay their one deferred gather here.
     pub fn columns(&self) -> &[ColumnRef] {
-        self.columns.get_or_init(|| match &self.slices {
-            Some(slices) => slices.iter().map(ColumnSlice::to_dense).collect(),
-            None => {
-                let rows = self.rows.get().expect("either slices or rows seeded");
-                uaq_storage::columns_from_rows(&self.schema, rows)
-                    .into_iter()
-                    .map(ColumnRef::new)
-                    .collect()
-            }
-        })
+        self.columns
+            .get_or_init(|| self.slices.iter().map(ColumnSlice::to_dense).collect())
     }
 
     /// Row-major view of the root output, materialized (and cached) on
@@ -333,15 +307,14 @@ impl ExecOutcome {
     /// need all rows at once. Prefer [`ExecOutcome::row_pages`] when the
     /// result may be huge.
     pub fn rows(&self) -> &[Row] {
-        self.rows.get_or_init(|| match &self.slices {
-            Some(slices) => (0..self.num_rows)
-                .map(|i| slices.iter().map(|s| s.value(i)).collect())
-                .collect(),
-            None => {
-                let columns = self.columns.get().expect("either slices or rows seeded");
-                rows_from_columns(columns, self.num_rows)
-            }
-        })
+        self.rows.get_or_init(|| self.rows_in(0..self.num_rows))
+    }
+
+    /// Rows `range` of the result, assembled through the slices.
+    fn rows_in(&self, range: std::ops::Range<usize>) -> Vec<Row> {
+        range
+            .map(|i| self.slices.iter().map(|s| s.value(i)).collect())
+            .collect()
     }
 
     /// Whether the full row mirror has been built (tests use this to prove
@@ -350,28 +323,10 @@ impl ExecOutcome {
         self.rows.get().is_some()
     }
 
-    /// Iterator adapter yielding one [`Row`] at a time — streaming
-    /// consumption without building the full mirror. Serves from whichever
-    /// representation is already materialized: seeded rows are cloned
-    /// per-item, otherwise rows are assembled through the shared slices.
-    pub fn row_iter(&self) -> Box<dyn Iterator<Item = Row> + '_> {
-        if let Some(rows) = self.rows.get() {
-            return Box::new(rows.iter().cloned());
-        }
-        if let Some(slices) = &self.slices {
-            return Box::new(
-                (0..self.num_rows).map(move |i| slices.iter().map(|s| s.value(i)).collect()),
-            );
-        }
-        let columns = self.columns();
-        Box::new((0..self.num_rows).map(move |i| columns.iter().map(|c| c.value(i)).collect()))
-    }
-
     /// Streams the result as pages of at most `page_size` rows (the last
     /// page may be shorter), materializing one page at a time — the
     /// service edge for results too large to hold as rows all at once.
-    /// Never populates the full-row cache, though it serves from it when
-    /// some other consumer already built it. A `page_size` of 0 is clamped
+    /// Never populates the full-row cache. A `page_size` of 0 is clamped
     /// to 1.
     pub fn row_pages(&self, page_size: usize) -> RowPages<'_> {
         RowPages {
@@ -399,18 +354,7 @@ impl Iterator for RowPages<'_> {
             return None;
         }
         let end = (self.next + self.page_size).min(self.outcome.num_rows);
-        let page: Vec<Row> = if let Some(rows) = self.outcome.rows.get() {
-            rows[self.next..end].to_vec()
-        } else if let Some(slices) = &self.outcome.slices {
-            (self.next..end)
-                .map(|i| slices.iter().map(|s| s.value(i)).collect())
-                .collect()
-        } else {
-            let columns = self.outcome.columns();
-            (self.next..end)
-                .map(|i| columns.iter().map(|c| c.value(i)).collect())
-                .collect()
-        };
+        let page = self.outcome.rows_in(self.next..end);
         self.next = end;
         Some(page)
     }
@@ -472,7 +416,7 @@ pub fn execute_full(plan: &Plan, catalog: &Catalog) -> ExecOutcome {
             traces: vec![NodeTrace::default(); plan.len()],
         };
         let batch = ex.exec(plan.root());
-        ExecOutcome::columnar(batch.schema, batch.cols, batch.len, ex.traces)
+        ExecOutcome::new(batch.schema, batch.cols, batch.len, ex.traces)
     })
 }
 
@@ -500,7 +444,7 @@ pub fn execute_on_samples(plan: &Plan, samples: &SampleCatalog) -> ExecOutcome {
             traces: vec![NodeTrace::default(); plan.len()],
         };
         let batch = ex.exec(plan.root());
-        ExecOutcome::columnar(batch.schema, batch.cols, batch.len, ex.traces)
+        ExecOutcome::new(batch.schema, batch.cols, batch.len, ex.traces)
     })
 }
 
@@ -687,21 +631,19 @@ impl<'a> Executor<'a> {
         let with_prov = sample.is_some();
         let input_len = cols.first().map_or(0, |c| c.len());
         self.record_inputs(id, input_len, 0);
-        let bound = predicate.bind(&schema);
-        let sel = bound.filter_columns(cols, input_len);
+        // Dense slices over the table's columns (refcount bumps): the scan
+        // filters through the same kernels as `filter`.
+        let dense: Vec<ColumnSlice> = cols.iter().cloned().map(ColumnSlice::dense).collect();
+        let sel = predicate.bind(&schema).filter_slices(&dense, input_len);
         let len = sel.len();
         let (out_cols, prov) = if len == input_len {
-            // Nothing filtered: share the table's columns (refcount bumps).
-            let out = cols.iter().cloned().map(ColumnSlice::dense).collect();
-            (out, with_prov.then(|| ProvData::new(1, sel)))
+            // Nothing filtered: the table's columns pass through shared.
+            (dense, with_prov.then(|| ProvData::new(1, sel)))
         } else {
             // One shared selection over every column — and the scan's
             // provenance *is* that selection, so it shares the same `Arc`.
             let sel = Arc::new(sel);
-            let out = cols
-                .iter()
-                .map(|c| ColumnSlice::selected(c.clone(), sel.clone()))
-                .collect();
+            let out = ColumnSlice::select_all(dense, &sel);
             (out, with_prov.then(|| ProvData::from_shared(1, sel)))
         };
         Batch {
@@ -724,7 +666,7 @@ impl<'a> Executor<'a> {
         }
         let len = sel.len();
         let sel = Arc::new(sel);
-        let cols = ColumnSlice::select_all(&child.cols, &sel);
+        let cols = ColumnSlice::select_all(child.cols, &sel);
         let prov = child.prov.as_ref().map(|p| p.select(&sel));
         Batch {
             schema: child.schema,
@@ -763,7 +705,7 @@ impl<'a> Executor<'a> {
             Ordering::Equal
         });
         let order = Arc::new(order);
-        let cols = ColumnSlice::select_all(&child.cols, &order);
+        let cols = ColumnSlice::select_all(child.cols, &order);
         let prov = child.prov.as_ref().map(|p| p.select(&order));
         Batch {
             schema: child.schema,
@@ -911,9 +853,8 @@ impl<'a> Executor<'a> {
         let schema = left.schema.concat(&right.schema);
         let len = li.len();
         let (li, ri) = (Arc::new(li), Arc::new(ri));
-        let mut cols = Vec::with_capacity(left.cols.len() + right.cols.len());
-        cols.extend(ColumnSlice::select_all(&left.cols, &li));
-        cols.extend(ColumnSlice::select_all(&right.cols, &ri));
+        let mut cols = ColumnSlice::select_all(left.cols, &li);
+        cols.extend(ColumnSlice::select_all(right.cols, &ri));
         let prov = match (&left.prov, &right.prov) {
             (Some(lp), Some(rp)) => Some(ProvData::join_rows(lp, &li, rp, &ri)),
             _ => None,
@@ -1181,7 +1122,7 @@ fn empty_agg_default(ty: uaq_storage::ColumnType) -> Value {
 fn cell_cmp_same(col: &ColumnData, a: usize, b: usize) -> Ordering {
     match col {
         ColumnData::Int(v) => v[a].cmp(&v[b]),
-        ColumnData::Float(v) => v[a].partial_cmp(&v[b]).expect("NaN in ordered value"),
+        ColumnData::Float(v) => order_f64(v[a], v[b]),
         ColumnData::Str(v) => v[a].cmp(&v[b]),
     }
 }
@@ -1493,26 +1434,6 @@ mod tests {
             assert!(!out_col.ptr_eq(table_col));
             assert_eq!(out_col.strong_count(), 1);
         }
-    }
-
-    #[test]
-    fn row_iter_streams_both_representations() {
-        let c = catalog();
-        let mut b = PlanBuilder::new();
-        let s = b.seq_scan("t1", Pred::lt("b", Value::Int(5)));
-        let plan = b.build(s);
-
-        // Columns-seeded outcome: rows assembled from the shared columns.
-        let out = execute_full(&plan, &c);
-        let streamed: Vec<Row> = out.row_iter().collect();
-        assert_eq!(streamed.len(), out.num_rows());
-        assert_eq!(streamed, out.rows());
-
-        // Rows-seeded outcome (the reference executor): served from the
-        // existing rows without building the columnar mirror.
-        let out_rowexec = crate::exec_row::execute_full_rows(&plan, &c);
-        let streamed_rowexec: Vec<Row> = out_rowexec.row_iter().collect();
-        assert_eq!(streamed_rowexec, streamed);
     }
 
     #[test]

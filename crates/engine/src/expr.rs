@@ -8,7 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use uaq_storage::{ColumnData, ColumnSlice, Row, Schema, Value};
+use uaq_storage::{order_f64, ColumnData, ColumnSlice, Row, Schema, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,24 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Whether the operator holds for an operand pair, given the pair's
+    /// equality and ordering. The two are separate inputs because they
+    /// disagree on floats: equality is on bits, ordering is numeric
+    /// (`-0.0` and `0.0` order as equal but are not equal).
+    fn test(self, eq: impl FnOnce() -> bool, cmp: impl FnOnce() -> Ordering) -> bool {
+        match self {
+            CmpOp::Eq => eq(),
+            CmpOp::Ne => !eq(),
+            CmpOp::Lt => cmp() == Ordering::Less,
+            CmpOp::Le => cmp() != Ordering::Greater,
+            CmpOp::Gt => cmp() == Ordering::Greater,
+            CmpOp::Ge => cmp() != Ordering::Less,
+        }
+    }
+
+    /// The reference semantics, on `Value`'s own operators — deliberately
+    /// not routed through [`CmpOp::test`], so the kernels are checked
+    /// against something they do not share.
     fn eval(&self, lhs: &Value, rhs: &Value) -> bool {
         match self {
             CmpOp::Eq => lhs == rhs,
@@ -357,7 +375,11 @@ pub enum BoundPred {
 }
 
 impl BoundPred {
-    /// Evaluates the predicate on a row.
+    /// Evaluates the predicate on a row: the **reference semantics** of a
+    /// predicate, defined on [`Value`]'s equality and ordering. The slice
+    /// kernels below ([`Self::eval_slices`], [`Self::filter_slices`]) must
+    /// agree with it on every row, and the engine's tests check that they
+    /// do; the executor itself never calls it.
     pub fn eval(&self, row: &Row) -> bool {
         match self {
             BoundPred::True => true,
@@ -385,116 +407,39 @@ impl BoundPred {
         }
     }
 
-    /// Evaluates the predicate on row `i` of a columnar batch. Mirrors
-    /// [`BoundPred::eval`] exactly (same equality/ordering semantics as
-    /// [`Value`]) without materializing a `Row`.
-    pub fn eval_columns<C: AsRef<ColumnData>>(&self, cols: &[C], i: usize) -> bool {
-        match self {
-            BoundPred::True => true,
-            BoundPred::Cmp { idx, op, value } => cmp_cell_value(*op, cols[*idx].as_ref(), i, value),
-            BoundPred::ColCmp { left, op, right } => {
-                cmp_cell_cell(*op, cols[*left].as_ref(), cols[*right].as_ref(), i)
-            }
-            BoundPred::Between { idx, lo, hi } => {
-                let c = cols[*idx].as_ref();
-                cell_value_cmp(c, i, lo) != Ordering::Less
-                    && cell_value_cmp(c, i, hi) != Ordering::Greater
-            }
-            BoundPred::InList { idx, values } => values
-                .iter()
-                .any(|v| cell_value_eq(cols[*idx].as_ref(), i, v)),
-            BoundPred::And(ps) => ps.iter().all(|p| p.eval_columns(cols, i)),
-            BoundPred::Or(ps) => ps.iter().any(|p| p.eval_columns(cols, i)),
-        }
-    }
-
-    /// Vectorized selection: indices of rows in `0..len` satisfying the
-    /// predicate, in row order. The common single-comparison shapes run as
-    /// tight loops over the typed column; everything else falls back to
-    /// row-at-a-time [`Self::eval_columns`].
-    pub fn filter_columns<C: AsRef<ColumnData>>(&self, cols: &[C], len: usize) -> Vec<u32> {
-        match self {
-            BoundPred::True => (0..len as u32).collect(),
-            BoundPred::Cmp { idx, op, value } => match (cols[*idx].as_ref(), value) {
-                (ColumnData::Int(v), Value::Int(c)) => {
-                    let c = *c;
-                    match op {
-                        CmpOp::Eq => select(v, |x| x == c),
-                        CmpOp::Ne => select(v, |x| x != c),
-                        CmpOp::Lt => select(v, |x| x < c),
-                        CmpOp::Le => select(v, |x| x <= c),
-                        CmpOp::Gt => select(v, |x| x > c),
-                        CmpOp::Ge => select(v, |x| x >= c),
-                    }
-                }
-                (ColumnData::Float(v), Value::Float(c)) => select_float(v, *op, *c),
-                (ColumnData::Float(v), Value::Int(c)) => select_float(v, *op, *c as f64),
-                _ => self.select_generic(cols, len),
-            },
-            BoundPred::Between { idx, lo, hi } => match (cols[*idx].as_ref(), lo, hi) {
-                (ColumnData::Int(v), Value::Int(lo), Value::Int(hi)) => {
-                    let (lo, hi) = (*lo, *hi);
-                    select(v, |x| x >= lo && x <= hi)
-                }
-                (ColumnData::Float(v), Value::Float(lo), Value::Float(hi)) => {
-                    let (lo, hi) = (*lo, *hi);
-                    select(v, |x| {
-                        x.partial_cmp(&lo).expect("NaN in ordered value") != Ordering::Less
-                            && x.partial_cmp(&hi).expect("NaN in ordered value")
-                                != Ordering::Greater
-                    })
-                }
-                _ => self.select_generic(cols, len),
-            },
-            BoundPred::And(ps) if !ps.is_empty() => {
-                // Filter by the first conjunct vectorized, then refine.
-                let mut sel = ps[0].filter_columns(cols, len);
-                for p in &ps[1..] {
-                    sel.retain(|&i| p.eval_columns(cols, i as usize));
-                }
-                sel
-            }
-            _ => self.select_generic(cols, len),
-        }
-    }
-
-    fn select_generic<C: AsRef<ColumnData>>(&self, cols: &[C], len: usize) -> Vec<u32> {
-        (0..len as u32)
-            .filter(|&i| self.eval_columns(cols, i as usize))
-            .collect()
-    }
-
     /// Evaluates the predicate on logical row `i` of a batch of
     /// [`ColumnSlice`]s, reading through each column's selection chain.
     /// Mirrors [`BoundPred::eval`] exactly; note that with per-column
     /// selection views the *physical* index may differ between columns even
     /// though the logical row is the same.
     pub fn eval_slices(&self, cols: &[ColumnSlice], i: usize) -> bool {
+        let cell = |idx: usize| {
+            let s = &cols[idx];
+            (s.base().as_ref(), s.physical(i))
+        };
         match self {
             BoundPred::True => true,
             BoundPred::Cmp { idx, op, value } => {
-                let s = &cols[*idx];
-                cmp_cell_value(*op, s.base().as_ref(), s.physical(i), value)
+                let (c, p) = cell(*idx);
+                op.test(
+                    || cell_value_eq(c, p, value),
+                    || cell_value_cmp(c, p, value),
+                )
             }
             BoundPred::ColCmp { left, op, right } => {
-                let (l, r) = (&cols[*left], &cols[*right]);
-                cmp_cell_pair(
-                    *op,
-                    l.base().as_ref(),
-                    l.physical(i),
-                    r.base().as_ref(),
-                    r.physical(i),
+                let ((l, li), (r, ri)) = (cell(*left), cell(*right));
+                op.test(
+                    || cell_pair_eq(l, li, r, ri),
+                    || cell_pair_cmp(l, li, r, ri),
                 )
             }
             BoundPred::Between { idx, lo, hi } => {
-                let s = &cols[*idx];
-                let (c, p) = (s.base().as_ref(), s.physical(i));
+                let (c, p) = cell(*idx);
                 cell_value_cmp(c, p, lo) != Ordering::Less
                     && cell_value_cmp(c, p, hi) != Ordering::Greater
             }
             BoundPred::InList { idx, values } => {
-                let s = &cols[*idx];
-                let (c, p) = (s.base().as_ref(), s.physical(i));
+                let (c, p) = cell(*idx);
                 values.iter().any(|v| cell_value_eq(c, p, v))
             }
             BoundPred::And(ps) => ps.iter().all(|p| p.eval_slices(cols, i)),
@@ -503,10 +448,12 @@ impl BoundPred {
     }
 
     /// Vectorized selection over a batch of [`ColumnSlice`]s: *logical* row
-    /// indices in `0..len` satisfying the predicate, in logical order. The
-    /// slice counterpart of [`BoundPred::filter_columns`]: the same typed
-    /// fast paths, with physical indices streamed through the selection
-    /// chain ([`ColumnSlice::for_each_physical`]) instead of enumerated.
+    /// indices in `0..len` satisfying the predicate, in logical order — the
+    /// engine's one predicate kernel, shared by scans (dense slices: an
+    /// empty selection chain) and filters. The common single-comparison
+    /// shapes run as tight loops over the typed base column
+    /// ([`select_slice`]); everything else falls back to row-at-a-time
+    /// [`Self::eval_slices`].
     pub fn filter_slices(&self, cols: &[ColumnSlice], len: usize) -> Vec<u32> {
         match self {
             BoundPred::True => (0..len as u32).collect(),
@@ -515,6 +462,10 @@ impl BoundPred {
                 match (s.base().as_ref(), value) {
                     (ColumnData::Int(v), Value::Int(c)) => {
                         let c = *c;
+                        // One closure per operator, on the native
+                        // comparison: deriving all six from `x.cmp(&c)`
+                        // cost a dense Int scan 40% (11.3 -> 16.6 us on
+                        // the `exec/full/scan` bench).
                         match op {
                             CmpOp::Eq => select_slice(v, s, |x| x == c),
                             CmpOp::Ne => select_slice(v, s, |x| x != c),
@@ -528,7 +479,7 @@ impl BoundPred {
                     (ColumnData::Float(v), Value::Int(c)) => {
                         select_slice_float(v, s, *op, *c as f64)
                     }
-                    _ => self.select_generic_slices(cols, len),
+                    _ => self.select_generic(cols, len),
                 }
             }
             BoundPred::Between { idx, lo, hi } => {
@@ -541,12 +492,11 @@ impl BoundPred {
                     (ColumnData::Float(v), Value::Float(lo), Value::Float(hi)) => {
                         let (lo, hi) = (*lo, *hi);
                         select_slice(v, s, |x| {
-                            x.partial_cmp(&lo).expect("NaN in ordered value") != Ordering::Less
-                                && x.partial_cmp(&hi).expect("NaN in ordered value")
-                                    != Ordering::Greater
+                            order_f64(x, lo) != Ordering::Less
+                                && order_f64(x, hi) != Ordering::Greater
                         })
                     }
-                    _ => self.select_generic_slices(cols, len),
+                    _ => self.select_generic(cols, len),
                 }
             }
             BoundPred::And(ps) if !ps.is_empty() => {
@@ -557,27 +507,32 @@ impl BoundPred {
                 }
                 sel
             }
-            _ => self.select_generic_slices(cols, len),
+            _ => self.select_generic(cols, len),
         }
     }
 
-    fn select_generic_slices(&self, cols: &[ColumnSlice], len: usize) -> Vec<u32> {
+    fn select_generic(&self, cols: &[ColumnSlice], len: usize) -> Vec<u32> {
         (0..len as u32)
             .filter(|&i| self.eval_slices(cols, i as usize))
             .collect()
     }
 }
 
-fn select<T: Copy>(col: &[T], pred: impl Fn(T) -> bool) -> Vec<u32> {
-    col.iter()
-        .enumerate()
-        .filter_map(|(i, &x)| pred(x).then_some(i as u32))
-        .collect()
-}
-
-/// [`select`] through a slice's selection chain: `pred` sees physical
-/// cells, the output indices are logical.
+/// The selection primitive: logical indices of the rows of `slice` (a view
+/// over the typed payload `v`) whose cell satisfies `pred`. A dense slice —
+/// an empty selection chain, which is what a scan hands in — has physical =
+/// logical, so it runs as a plain pass over `v`; otherwise physical indices
+/// stream through the chain ([`ColumnSlice::for_each_physical`]). The dense
+/// arm pays for itself: sending scans through the chain walk instead cost
+/// `uaq-bench` 14% of `full_exec_us_p50` on the service workloads.
 fn select_slice<T: Copy>(v: &[T], slice: &ColumnSlice, pred: impl Fn(T) -> bool) -> Vec<u32> {
+    if slice.is_dense() {
+        return v
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &x)| pred(x).then_some(i as u32))
+            .collect();
+    }
     let mut out = Vec::new();
     let mut i = 0u32;
     slice.for_each_physical(|p| {
@@ -589,74 +544,16 @@ fn select_slice<T: Copy>(v: &[T], slice: &ColumnSlice, pred: impl Fn(T) -> bool)
     out
 }
 
+/// Float equality is bit equality (`Value` semantics: NaN == NaN,
+/// `-0.0 != 0.0`), not numeric equality; ordering is [`order_f64`].
 fn select_slice_float(v: &[f64], s: &ColumnSlice, op: CmpOp, c: f64) -> Vec<u32> {
     match op {
-        // Float equality is bit equality (Value semantics: NaN == NaN,
-        // -0.0 != 0.0), not numeric equality.
         CmpOp::Eq => select_slice(v, s, |x| x.to_bits() == c.to_bits()),
         CmpOp::Ne => select_slice(v, s, |x| x.to_bits() != c.to_bits()),
-        CmpOp::Lt => select_slice(v, s, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") == Ordering::Less
-        }),
-        CmpOp::Le => select_slice(v, s, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") != Ordering::Greater
-        }),
-        CmpOp::Gt => select_slice(v, s, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") == Ordering::Greater
-        }),
-        CmpOp::Ge => select_slice(v, s, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") != Ordering::Less
-        }),
-    }
-}
-
-fn select_float(v: &[f64], op: CmpOp, c: f64) -> Vec<u32> {
-    match op {
-        // Float equality is bit equality (Value semantics: NaN == NaN,
-        // -0.0 != 0.0), not numeric equality.
-        CmpOp::Eq => select(v, |x| x.to_bits() == c.to_bits()),
-        CmpOp::Ne => select(v, |x| x.to_bits() != c.to_bits()),
-        CmpOp::Lt => select(v, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") == Ordering::Less
-        }),
-        CmpOp::Le => select(v, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") != Ordering::Greater
-        }),
-        CmpOp::Gt => select(v, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") == Ordering::Greater
-        }),
-        CmpOp::Ge => select(v, |x| {
-            x.partial_cmp(&c).expect("NaN in ordered value") != Ordering::Less
-        }),
-    }
-}
-
-fn cmp_cell_value(op: CmpOp, col: &ColumnData, i: usize, v: &Value) -> bool {
-    match op {
-        CmpOp::Eq => cell_value_eq(col, i, v),
-        CmpOp::Ne => !cell_value_eq(col, i, v),
-        CmpOp::Lt => cell_value_cmp(col, i, v) == Ordering::Less,
-        CmpOp::Le => cell_value_cmp(col, i, v) != Ordering::Greater,
-        CmpOp::Gt => cell_value_cmp(col, i, v) == Ordering::Greater,
-        CmpOp::Ge => cell_value_cmp(col, i, v) != Ordering::Less,
-    }
-}
-
-fn cmp_cell_cell(op: CmpOp, l: &ColumnData, r: &ColumnData, i: usize) -> bool {
-    cmp_cell_pair(op, l, i, r, i)
-}
-
-/// [`cmp_cell_cell`] generalized to independent cell indices — needed when
-/// the two columns sit behind different selection chains, so one logical
-/// row maps to different physical indices per column.
-fn cmp_cell_pair(op: CmpOp, l: &ColumnData, li: usize, r: &ColumnData, ri: usize) -> bool {
-    match op {
-        CmpOp::Eq => cell_pair_eq(l, li, r, ri),
-        CmpOp::Ne => !cell_pair_eq(l, li, r, ri),
-        CmpOp::Lt => cell_pair_cmp(l, li, r, ri) == Ordering::Less,
-        CmpOp::Le => cell_pair_cmp(l, li, r, ri) != Ordering::Greater,
-        CmpOp::Gt => cell_pair_cmp(l, li, r, ri) == Ordering::Greater,
-        CmpOp::Ge => cell_pair_cmp(l, li, r, ri) != Ordering::Less,
+        CmpOp::Lt => select_slice(v, s, |x| order_f64(x, c) == Ordering::Less),
+        CmpOp::Le => select_slice(v, s, |x| order_f64(x, c) != Ordering::Greater),
+        CmpOp::Gt => select_slice(v, s, |x| order_f64(x, c) == Ordering::Greater),
+        CmpOp::Ge => select_slice(v, s, |x| order_f64(x, c) != Ordering::Less),
     }
 }
 
@@ -679,20 +576,16 @@ fn cell_value_cmp(col: &ColumnData, i: usize, v: &Value) -> Ordering {
     match (col, v) {
         (ColumnData::Int(c), Value::Int(b)) => c[i].cmp(b),
         (ColumnData::Str(c), Value::Str(b)) => (*c[i]).cmp(b),
-        (ColumnData::Int(c), Value::Float(b)) => {
-            (c[i] as f64).partial_cmp(b).expect("NaN in ordered value")
-        }
-        (ColumnData::Float(c), Value::Float(b)) => {
-            c[i].partial_cmp(b).expect("NaN in ordered value")
-        }
-        (ColumnData::Float(c), Value::Int(b)) => c[i]
-            .partial_cmp(&(*b as f64))
-            .expect("NaN in ordered value"),
+        (ColumnData::Int(c), Value::Float(b)) => order_f64(c[i] as f64, *b),
+        (ColumnData::Float(c), Value::Float(b)) => order_f64(c[i], *b),
+        (ColumnData::Float(c), Value::Int(b)) => order_f64(c[i], *b as f64),
         (c, v) => panic!("cannot order {:?} cell vs {v:?}", c.ty()),
     }
 }
 
-/// Mirrors `Value::eq` between cell `li` of one column and `ri` of another.
+/// Mirrors `Value::eq` between cell `li` of one column and `ri` of another
+/// (independent indices: two columns behind different selection chains map
+/// one logical row to different physical cells).
 pub(crate) fn cell_pair_eq(l: &ColumnData, li: usize, r: &ColumnData, ri: usize) -> bool {
     match (l, r) {
         (ColumnData::Int(a), ColumnData::Int(b)) => a[li] == b[ri],
@@ -709,15 +602,9 @@ fn cell_pair_cmp(l: &ColumnData, li: usize, r: &ColumnData, ri: usize) -> Orderi
     match (l, r) {
         (ColumnData::Int(a), ColumnData::Int(b)) => a[li].cmp(&b[ri]),
         (ColumnData::Str(a), ColumnData::Str(b)) => a[li].cmp(&b[ri]),
-        (ColumnData::Int(a), ColumnData::Float(b)) => (a[li] as f64)
-            .partial_cmp(&b[ri])
-            .expect("NaN in ordered value"),
-        (ColumnData::Float(a), ColumnData::Float(b)) => {
-            a[li].partial_cmp(&b[ri]).expect("NaN in ordered value")
-        }
-        (ColumnData::Float(a), ColumnData::Int(b)) => a[li]
-            .partial_cmp(&(b[ri] as f64))
-            .expect("NaN in ordered value"),
+        (ColumnData::Int(a), ColumnData::Float(b)) => order_f64(a[li] as f64, b[ri]),
+        (ColumnData::Float(a), ColumnData::Float(b)) => order_f64(a[li], b[ri]),
+        (ColumnData::Float(a), ColumnData::Int(b)) => order_f64(a[li], b[ri] as f64),
         (a, b) => panic!("cannot order {:?} cell vs {:?} cell", a.ty(), b.ty()),
     }
 }
@@ -725,7 +612,8 @@ fn cell_pair_cmp(l: &ColumnData, li: usize, r: &ColumnData, ri: usize) -> Orderi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uaq_storage::Column;
+    use std::sync::Arc;
+    use uaq_storage::{Column, MAX_SELECTION_DEPTH};
 
     fn schema() -> Schema {
         Schema::new(vec![Column::int("a"), Column::float("b"), Column::str("c")])
@@ -838,5 +726,178 @@ mod tests {
     #[should_panic(expected = "no column")]
     fn binding_unknown_column_panics() {
         Pred::eq("zz", Value::Int(0)).bind(&schema());
+    }
+
+    /// Six columns — Int `a`/`d`, Float `b`/`e`, Str `c`/`f` — each behind
+    /// its *own* `depth`-layer selection chain (so one logical row maps to
+    /// different physical cells per column), all of one logical length.
+    /// The floats carry `-0.0`, `0.0` and whole values that equal Ints.
+    fn sliced_batch(depth: usize) -> (Schema, Vec<ColumnSlice>) {
+        const N: usize = 48;
+        let ints =
+            |m: usize, off: i64| ColumnData::Int((0..N).map(|i| (i % m) as i64 - off).collect());
+        let floats =
+            |cycle: &[f64]| ColumnData::Float((0..N).map(|i| cycle[i % cycle.len()]).collect());
+        let strs = |cycle: &[&str]| {
+            ColumnData::Str((0..N).map(|i| cycle[i % cycle.len()].into()).collect())
+        };
+        let schema = Schema::new(vec![
+            Column::int("a"),
+            Column::float("b"),
+            Column::str("c"),
+            Column::int("d"),
+            Column::float("e"),
+            Column::str("f"),
+        ]);
+        let bases = [
+            ints(7, 2),
+            floats(&[-0.0, 0.0, 2.0, 2.5, -1.5, 3.0]),
+            strs(&["k", "m", "z", "m2"]),
+            ints(5, 1),
+            floats(&[0.0, -0.0, 2.5, 2.0, 3.0]),
+            strs(&["m", "a", "z"]),
+        ];
+        let cols = bases
+            .into_iter()
+            .enumerate()
+            .map(|(j, base)| {
+                let mut slice = ColumnSlice::from(base);
+                for k in 1..=depth {
+                    let prev = slice.len();
+                    let sel = (0..prev - 6)
+                        .map(|i| ((i * (2 * (j + k) + 1) + j + k) % prev) as u32)
+                        .collect();
+                    slice = slice.select(&Arc::new(sel));
+                }
+                slice
+            })
+            .collect();
+        (schema, cols)
+    }
+
+    /// Every predicate shape the kernels distinguish: typed fast paths,
+    /// the generic fallback, and the connectives that mix them.
+    fn kernel_shapes() -> Vec<Pred> {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let mut shapes = vec![Pred::True];
+        for op in OPS {
+            for (col, lit) in [
+                ("a", Value::Int(3)),
+                ("a", Value::Float(3.0)),
+                ("a", Value::Float(2.5)),
+                ("a", Value::Float(-0.0)),
+                ("b", Value::Int(2)),
+                ("b", Value::Float(0.0)),
+                ("b", Value::Float(-0.0)),
+                ("b", Value::Float(2.5)),
+                ("c", Value::str("m")),
+            ] {
+                shapes.push(Pred::cmp(col, op, lit));
+            }
+            for (l, r) in [("a", "d"), ("a", "b"), ("b", "a"), ("b", "e"), ("c", "f")] {
+                shapes.push(Pred::col_cmp(l, op, r));
+            }
+        }
+        // Str against a number is legal under equality only (always false).
+        shapes.push(Pred::eq("c", Value::Int(1)));
+        shapes.push(Pred::cmp("c", CmpOp::Ne, Value::Float(1.0)));
+        shapes.push(Pred::col_cmp("c", CmpOp::Eq, "a"));
+        shapes.extend([
+            Pred::between("a", Value::Int(-1), Value::Int(2)),
+            Pred::between("b", Value::Float(-0.0), Value::Float(2.5)),
+            Pred::between("a", Value::Float(-0.5), Value::Float(3.0)),
+            Pred::between("b", Value::Int(0), Value::Float(2.0)),
+            Pred::between("c", Value::str("l"), Value::str("n")),
+            Pred::in_list("a", vec![Value::Int(4), Value::Float(-2.0)]),
+            Pred::in_list("b", vec![Value::Float(-0.0), Value::Int(2)]),
+            Pred::in_list("c", vec![Value::str("z"), Value::Int(0)]),
+            Pred::in_list("a", vec![]),
+            Pred::And(vec![]),
+            Pred::and(vec![
+                Pred::ge("a", Value::Int(0)),
+                Pred::col_cmp("b", CmpOp::Le, "e"),
+                Pred::between("d", Value::Int(0), Value::Int(2)),
+            ]),
+            Pred::and(vec![
+                Pred::col_cmp("a", CmpOp::Ne, "d"),
+                Pred::lt("b", Value::Float(2.5)),
+            ]),
+            Pred::or(vec![
+                Pred::eq("b", Value::Float(0.0)),
+                Pred::eq("c", Value::str("z")),
+                Pred::and(vec![
+                    Pred::gt("e", Value::Int(2)),
+                    Pred::or(vec![
+                        Pred::lt("a", Value::Int(0)),
+                        Pred::eq("f", Value::str("a")),
+                    ]),
+                ]),
+            ]),
+        ]);
+        shapes
+    }
+
+    #[test]
+    fn filter_slices_agrees_with_eval_on_every_shape_at_every_depth() {
+        let shapes = kernel_shapes();
+        // One layer past the bound: the chain flattens back to depth 1.
+        for depth in 0..=MAX_SELECTION_DEPTH + 1 {
+            let (schema, cols) = sliced_batch(depth);
+            let expected_depth = if depth > MAX_SELECTION_DEPTH {
+                1
+            } else {
+                depth
+            };
+            assert!(cols.iter().all(|c| c.selection_depth() == expected_depth));
+            let len = cols[0].len();
+            let rows: Vec<Row> = (0..len)
+                .map(|i| cols.iter().map(|c| c.value(i)).collect())
+                .collect();
+            for pred in &shapes {
+                let bound = pred.bind(&schema);
+                let want: Vec<u32> = (0..len as u32)
+                    .filter(|&i| bound.eval(&rows[i as usize]))
+                    .collect();
+                assert_eq!(
+                    bound.filter_slices(&cols, len),
+                    want,
+                    "depth {depth}: {pred}"
+                );
+                for (i, row) in rows.iter().enumerate() {
+                    assert_eq!(
+                        bound.eval_slices(&cols, i),
+                        bound.eval(row),
+                        "depth {depth} row {i}: {pred}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn float_kernels_split_equality_from_ordering_at_zero() {
+        // `b` cycles [-0.0, 0.0, 2.0, 2.5, -1.5, 3.0] over 48 dense rows.
+        let (schema, cols) = sliced_batch(0);
+        let count = |p: Pred| p.bind(&schema).filter_slices(&cols, 48).len();
+        // Equality is on bits: the two zeros are different values …
+        assert_eq!(count(Pred::eq("b", Value::Float(0.0))), 8);
+        assert_eq!(count(Pred::eq("b", Value::Float(-0.0))), 8);
+        assert_eq!(count(Pred::eq("b", Value::Int(0))), 8);
+        // … ordering is numeric: they order as equal.
+        assert_eq!(count(Pred::le("b", Value::Float(-0.0))), 24);
+        assert_eq!(count(Pred::lt("b", Value::Float(0.0))), 8);
+        // A whole float equals the Int it converts from, in either position.
+        assert_eq!(count(Pred::eq("b", Value::Int(2))), 8);
+        assert_eq!(
+            count(Pred::eq("a", Value::Float(3.0))),
+            count(Pred::eq("a", Value::Int(3)))
+        );
     }
 }

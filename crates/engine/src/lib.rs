@@ -8,7 +8,6 @@
 
 pub mod cardest;
 pub mod exec;
-pub mod exec_row;
 pub mod expr;
 pub mod fault;
 pub mod plan;
@@ -17,7 +16,6 @@ pub mod validate;
 
 pub use cardest::{estimate_cardinalities, predicate_selectivity};
 pub use exec::{execute_full, execute_on_samples, ExecOutcome, NodeTrace, ProvData, RowPages};
-pub use exec_row::{execute_full_rows, execute_on_samples_rows};
 pub use expr::{BoundPred, CmpOp, Pred};
 pub use plan::{AggFunc, LeafRef, NodeId, NodeMeta, Op, Plan, PlanBuilder, SelKind, SortOrder};
 pub use planner::{plan_query, JoinStep, QuerySpec, TableRef};

@@ -26,7 +26,9 @@
 //! - predicate typing: ordering comparisons (`<`, `<=`, `>`, `>=`,
 //!   `BETWEEN`) never mix strings with numerics — the executor's `Value`
 //!   ordering panics on exactly that; equality across those types is
-//!   well-defined (always false) and allowed;
+//!   well-defined (always false) and allowed — and never carry a NaN
+//!   literal, which has no order (the executor's float ordering panics on
+//!   it); NaN under `=`, `<>` and `IN` is bit equality and allowed;
 //! - index scans: the key column exists, is typed, and is actually
 //!   constrained by the scan predicate (the documented `IndexScan`
 //!   contract);
@@ -41,7 +43,7 @@
 use crate::expr::{CmpOp, Pred};
 use crate::plan::{AggFunc, NodeId, Op, Plan};
 use std::fmt;
-use uaq_storage::{Catalog, ColumnType, SampleCatalog, Schema};
+use uaq_storage::{Catalog, ColumnType, SampleCatalog, Schema, Value};
 
 /// Maximum operator-tree depth the executors will recurse into. Plans are
 /// binary trees, so 128 levels is far beyond any real optimizer output
@@ -67,6 +69,9 @@ pub enum PlanError {
         column_ty: ColumnType,
         other: String,
     },
+    /// An ordering comparison (`<`, `<=`, `>`, `>=`, `BETWEEN`) against a
+    /// NaN literal: NaN has no order.
+    NanLiteral { node: NodeId, column: String },
     /// Join keys resolve to types that can never compare equal.
     JoinKeyTypeMismatch {
         node: NodeId,
@@ -114,6 +119,10 @@ impl fmt::Display for PlanError {
                 f,
                 "node #{node}: ordering comparison between {column:?} ({column_ty:?}) and \
                  {other} can never be evaluated"
+            ),
+            PlanError::NanLiteral { node, column } => write!(
+                f,
+                "node #{node}: ordering comparison between {column:?} and a NaN literal"
             ),
             PlanError::JoinKeyTypeMismatch {
                 node,
@@ -166,6 +175,7 @@ impl PlanError {
             PlanError::UnknownTable { .. } => "unknown_table",
             PlanError::UnknownColumn { .. } => "unknown_column",
             PlanError::OrderingTypeMismatch { .. } => "ordering_type_mismatch",
+            PlanError::NanLiteral { .. } => "nan_literal",
             PlanError::JoinKeyTypeMismatch { .. } => "join_key_type_mismatch",
             PlanError::DuplicateJoinColumn { .. } => "duplicate_join_column",
             PlanError::IndexKeyUnconstrained { .. } => "index_key_unconstrained",
@@ -557,7 +567,7 @@ fn check_node(
 
 /// Type-checks one predicate against its input schema: every referenced
 /// column resolves, and ordering comparisons never mix Str with numerics
-/// (the executor's `Value` ordering panics on exactly that pair).
+/// nor take a NaN literal (the executor's ordering panics on both).
 fn check_predicate(node: NodeId, pred: &Pred, schema: &Schema) -> Result<(), PlanError> {
     let resolve = |col: &str| -> Result<ColumnType, PlanError> {
         schema
@@ -570,7 +580,14 @@ fn check_predicate(node: NodeId, pred: &Pred, schema: &Schema) -> Result<(), Pla
             })
     };
     let is_ordering = |op: &CmpOp| !matches!(op, CmpOp::Eq | CmpOp::Ne);
-    let value_is_str = |v: &uaq_storage::Value| matches!(v, uaq_storage::Value::Str(_));
+    let value_is_str = |v: &Value| matches!(v, Value::Str(_));
+    let nan_literal = |col: &String, v: &Value| match v {
+        Value::Float(x) if x.is_nan() => Err(PlanError::NanLiteral {
+            node,
+            column: col.clone(),
+        }),
+        _ => Ok(()),
+    };
     // Explicit worklist: And/Or trees nest arbitrarily deep in untrusted
     // plans, same threat as operator-tree depth.
     let mut work = vec![pred];
@@ -586,6 +603,9 @@ fn check_predicate(node: NodeId, pred: &Pred, schema: &Schema) -> Result<(), Pla
                         column_ty: ty,
                         other: format!("literal {value}"),
                     });
+                }
+                if is_ordering(op) {
+                    nan_literal(col, value)?;
                 }
             }
             Pred::ColCmp { left, op, right } => {
@@ -611,6 +631,7 @@ fn check_predicate(node: NodeId, pred: &Pred, schema: &Schema) -> Result<(), Pla
                             other: format!("literal {bound}"),
                         });
                     }
+                    nan_literal(col, bound)?;
                 }
             }
             Pred::InList { col, .. } => {

@@ -1,8 +1,8 @@
 //! Golden equivalence tests: the columnar executor must produce *identical*
 //! `ExecOutcome`s — rows, schemas, per-node traces, and flat provenance
 //! matrices — to the row-based reference executor (`exec_row`, the seed
-//! semantics) on the paper's MICRO, SELJOIN, and TPC-H-like workloads, in
-//! both full and sample mode.
+//! semantics, compiled only into the engine's tests) on the paper's MICRO,
+//! SELJOIN, and TPC-H-like workloads, in both full and sample mode.
 //!
 //! Because all estimator math (`ρ_n`, `S_n²`, covariance bounds) consumes
 //! only `ExecOutcome`, equality here proves the columnar refactor cannot
@@ -14,17 +14,20 @@
 //! aggregate both must have left the trace empty. Root rows and traces
 //! above aggregates are compared in full mode.
 
+mod exec_row;
+
+use exec_row::{execute_full_rows, execute_on_samples_rows, RowOutcome};
 use uaq_datagen::GenConfig;
 use uaq_engine::{
-    execute_full, execute_full_rows, execute_on_samples, execute_on_samples_rows, plan_query,
-    AggFunc, ExecOutcome, Plan, PlanBuilder, Pred, QuerySpec, SortOrder,
+    execute_full, execute_on_samples, plan_query, AggFunc, ExecOutcome, Plan, PlanBuilder, Pred,
+    QuerySpec, SortOrder,
 };
 use uaq_stats::Rng;
 use uaq_storage::{Catalog, SampleCatalog, Value};
 use uaq_workloads::Benchmark;
 
 /// Asserts two outcomes agree cell-for-cell and trace-for-trace.
-fn assert_outcomes_equal(cols: &ExecOutcome, rows: &ExecOutcome, label: &str) {
+fn assert_outcomes_equal(cols: &ExecOutcome, rows: &RowOutcome, label: &str) {
     assert_eq!(
         cols.schema.len(),
         rows.schema.len(),
@@ -34,8 +37,8 @@ fn assert_outcomes_equal(cols: &ExecOutcome, rows: &ExecOutcome, label: &str) {
         assert_eq!(a.name, b.name, "{label}: column name");
         assert_eq!(a.ty, b.ty, "{label}: column type");
     }
-    assert_eq!(cols.num_rows(), rows.num_rows(), "{label}: row count");
-    for (i, (a, b)) in cols.rows().iter().zip(rows.rows()).enumerate() {
+    assert_eq!(cols.num_rows(), rows.rows.len(), "{label}: row count");
+    for (i, (a, b)) in cols.rows().iter().zip(&rows.rows).enumerate() {
         assert_eq!(a, b, "{label}: row {i}");
     }
     assert_eq!(cols.traces.len(), rows.traces.len(), "{label}: trace count");

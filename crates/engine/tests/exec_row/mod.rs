@@ -1,17 +1,31 @@
 //! The original row-at-a-time executor, kept verbatim as the **reference
-//! semantics** for the columnar data plane in [`crate::exec`].
+//! semantics** for the columnar data plane in `uaq_engine::exec`.
 //!
 //! Every operator materializes `Vec<Row>` and (in sample mode) one
 //! provenance vector per row. It is deliberately simple and slow; the golden
-//! equivalence tests (`tests/columnar_equivalence.rs`) assert that the
-//! columnar executor produces identical rows, traces, and provenance
-//! matrices on the benchmark workloads. Do not optimise this module — its
-//! value is being an independently-written oracle.
+//! equivalence tests (`columnar_equivalence.rs`, `late_materialization.rs`)
+//! assert that the columnar executor produces identical rows, traces, and
+//! provenance matrices on the benchmark workloads. Do not optimise this
+//! module — its value is being an independently-written oracle.
+//!
+//! It is test support, not library code: each test target that needs the
+//! oracle declares `mod exec_row;`, and it sees `uaq_engine` through its
+//! public API only.
 
-use crate::exec::{ExecOutcome, NodeTrace, ProvData};
-use crate::plan::{AggFunc, NodeId, Op, Plan, SortOrder};
+// Each test target compiles its own copy and reads a different subset.
+#![allow(dead_code)]
+
 use std::collections::HashMap;
+use uaq_engine::validate::debug_check;
+use uaq_engine::{AggFunc, NodeId, NodeTrace, Op, Plan, Pred, ProvData, SortOrder};
 use uaq_storage::{Catalog, Row, SampleCatalog, Schema, Value};
+
+/// What the oracle returns: the root rows and the per-node traces.
+pub struct RowOutcome {
+    pub schema: Schema,
+    pub rows: Vec<Row>,
+    pub traces: Vec<NodeTrace>,
+}
 
 /// Intermediate batch flowing between operators.
 struct Batch {
@@ -34,29 +48,37 @@ struct Executor<'a> {
 }
 
 /// Row-based reference: executes a plan against the base tables.
-pub fn execute_full_rows(plan: &Plan, catalog: &Catalog) -> ExecOutcome {
-    crate::validate::debug_check(plan, Some(catalog), None);
+pub fn execute_full_rows(plan: &Plan, catalog: &Catalog) -> RowOutcome {
+    debug_check(plan, Some(catalog), None);
     let mut ex = Executor {
         plan,
         source: Source::Full(catalog),
         traces: vec![NodeTrace::default(); plan.len()],
     };
     let batch = ex.exec(plan.root());
-    ExecOutcome::from_rows(batch.schema, batch.rows, ex.traces)
+    RowOutcome {
+        schema: batch.schema,
+        rows: batch.rows,
+        traces: ex.traces,
+    }
 }
 
 /// Row-based reference: executes a plan against sample tables, tracking
-/// provenance. Same contract as [`crate::execute_on_samples`]: nodes at or
-/// above an aggregate are not executed.
-pub fn execute_on_samples_rows(plan: &Plan, samples: &SampleCatalog) -> ExecOutcome {
-    crate::validate::debug_check(plan, None, Some(samples));
+/// provenance. Same contract as [`uaq_engine::execute_on_samples`]: nodes at
+/// or above an aggregate are not executed.
+pub fn execute_on_samples_rows(plan: &Plan, samples: &SampleCatalog) -> RowOutcome {
+    debug_check(plan, None, Some(samples));
     let mut ex = Executor {
         plan,
         source: Source::Samples(samples),
         traces: vec![NodeTrace::default(); plan.len()],
     };
     let batch = ex.exec(plan.root());
-    ExecOutcome::from_rows(batch.schema, batch.rows, ex.traces)
+    RowOutcome {
+        schema: batch.schema,
+        rows: batch.rows,
+        traces: ex.traces,
+    }
 }
 
 impl<'a> Executor<'a> {
@@ -136,7 +158,7 @@ impl<'a> Executor<'a> {
         batch
     }
 
-    fn scan(&mut self, id: NodeId, table: &str, predicate: &crate::expr::Pred) -> Batch {
+    fn scan(&mut self, id: NodeId, table: &str, predicate: &Pred) -> Batch {
         let (schema, rows, with_prov): (Schema, &[Row], bool) = match &self.source {
             Source::Full(catalog) => {
                 let t = catalog.table(table);
@@ -167,7 +189,7 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn filter(&mut self, id: NodeId, child: Batch, predicate: &crate::expr::Pred) -> Batch {
+    fn filter(&mut self, id: NodeId, child: Batch, predicate: &Pred) -> Batch {
         self.traces[id].left_input_rows = child.rows.len();
         let bound = predicate.bind(&child.schema);
         match child.prov {

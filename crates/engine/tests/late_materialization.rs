@@ -14,10 +14,12 @@
 //! 3. **Paging**: [`ExecOutcome::row_pages`] streams exactly `rows()` in
 //!    bounded pages without ever building the full row mirror.
 
+mod exec_row;
+
+use exec_row::{execute_full_rows, execute_on_samples_rows, RowOutcome};
 use proptest::prelude::*;
 use uaq_engine::{
-    execute_full, execute_full_rows, execute_on_samples, execute_on_samples_rows, ExecOutcome,
-    Plan, PlanBuilder, Pred, SortOrder,
+    execute_full, execute_on_samples, ExecOutcome, Plan, PlanBuilder, Pred, SortOrder,
 };
 use uaq_stats::Rng;
 use uaq_storage::{Catalog, Column, Schema, Table, Value, MAX_SELECTION_DEPTH};
@@ -73,16 +75,16 @@ fn chain_plan(chain: &[(usize, i64)], join: bool, sort: bool) -> Plan {
 /// outcome — rows, per-node cardinalities, provenance — is bit-identical
 /// to the eager row-at-a-time reference. Plus the representation
 /// invariant: no slice's chain ever exceeds the flatten bound.
-fn assert_equiv(lazy: &ExecOutcome, eager: &ExecOutcome, label: &str) {
-    assert_eq!(lazy.num_rows(), eager.num_rows(), "{label}: row count");
-    for s in lazy.slices().expect("columnar outcome has slices") {
+fn assert_equiv(lazy: &ExecOutcome, eager: &RowOutcome, label: &str) {
+    assert_eq!(lazy.num_rows(), eager.rows.len(), "{label}: row count");
+    for s in lazy.slices() {
         assert!(
             s.selection_depth() <= MAX_SELECTION_DEPTH,
             "{label}: selection chain depth {} exceeds the flatten bound",
             s.selection_depth()
         );
     }
-    assert_eq!(lazy.rows(), eager.rows(), "{label}: rows");
+    assert_eq!(lazy.rows(), eager.rows, "{label}: rows");
     assert_eq!(lazy.traces.len(), eager.traces.len(), "{label}: traces");
     for (id, (a, b)) in lazy.traces.iter().zip(&eager.traces).enumerate() {
         assert_eq!(a.output_rows, b.output_rows, "{label}: node {id} out");
@@ -142,7 +144,7 @@ fn selective_filter_defers_gathers_and_shares_one_selection() {
     let out = execute_full(&plan, &c);
     assert_eq!(out.num_rows(), 50);
 
-    let slices = out.slices().expect("columnar outcome");
+    let slices = out.slices();
     let table_cols = c.table("t").columns();
     let top = slices[0].top_selection().expect("selective scan");
     for (slice, table_col) in slices.iter().zip(table_cols) {
@@ -177,14 +179,14 @@ fn stacked_filters_flatten_past_the_depth_bound() {
     let plan = b.build(n);
     let out = execute_full(&plan, &c);
     assert_eq!(out.num_rows(), 20);
-    for s in out.slices().expect("columnar outcome") {
+    for s in out.slices() {
         let depth = s.selection_depth();
         assert!(
             (1..=MAX_SELECTION_DEPTH).contains(&depth),
             "expected a flattened, still-selective chain, got depth {depth}"
         );
     }
-    assert_eq!(out.rows(), execute_full_rows(&plan, &c).rows());
+    assert_eq!(out.rows(), execute_full_rows(&plan, &c).rows);
 }
 
 #[test]
@@ -242,12 +244,6 @@ fn row_pages_edge_cases() {
 
     // page_size 0 is clamped to 1, not an infinite loop.
     assert_eq!(out.row_pages(0).count(), out.num_rows());
-
-    // A rows-seeded outcome (the reference executor) pages identically.
-    let out_ref = execute_full_rows(&plan, &c);
-    let ref_pages: Vec<Vec<_>> = out_ref.row_pages(7).collect();
-    let concat: Vec<_> = ref_pages.into_iter().flatten().collect();
-    assert_eq!(concat, out_ref.rows());
 }
 
 #[test]

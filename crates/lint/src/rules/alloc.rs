@@ -14,9 +14,8 @@ use super::Rule;
 use crate::diag::{Diagnostic, RuleId, SourceFile};
 
 /// The modules on the per-row / per-batch execution path.
-const HOT_MODULES: [&str; 5] = [
+const HOT_MODULES: [&str; 4] = [
     "crates/engine/src/exec.rs",
-    "crates/engine/src/exec_row.rs",
     "crates/engine/src/expr.rs",
     "crates/storage/src/column.rs",
     "crates/storage/src/table.rs",

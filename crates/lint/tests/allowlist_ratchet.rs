@@ -6,11 +6,12 @@
 
 use uaq_lint::allowlist::Allowlist;
 
-/// 48 entries excusing 560 audited sites (565 at PR 10, which introduced the
-/// linter; PR 12 folded the executor's per-operator trace writes into one).
+/// 44 entries excusing 475 audited sites (48 / 565 at PR 10, which
+/// introduced the linter; PR 13 took the row-at-a-time reference executor
+/// out of the library and routed every float ordering through one helper).
 /// Lower either number when you remove sites.
-const MAX_ENTRIES: usize = 48;
-const MAX_TOTAL_BUDGET: usize = 560;
+const MAX_ENTRIES: usize = 44;
+const MAX_TOTAL_BUDGET: usize = 475;
 
 fn load() -> Allowlist {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint-allowlist.txt");

@@ -1363,24 +1363,29 @@ mod tests {
         let (predictor, catalog, samples, _) = setup();
         let service =
             PredictionService::start(predictor, catalog, samples, ServiceConfig::default());
-        let mut b = PlanBuilder::new();
-        let s = b.seq_scan("t", Pred::lt("ghost", Value::Int(5)));
-        let bad = Arc::new(b.build(s));
-        // Submit twice: the second hit exercises the interned verdict.
-        for _ in 0..2 {
-            let resp = service.predict_blocking(Arc::clone(&bad), Some(1e6));
-            assert_eq!(resp.tier, ServedTier::Invalid);
-            assert_eq!(resp.decision, Decision::Reject);
-            assert!(resp.prob_in_time.is_nan());
-            match resp.plan_error {
-                Some(uaq_engine::PlanError::UnknownColumn { ref column, .. }) => {
-                    assert_eq!(column, "ghost")
-                }
-                ref other => panic!("expected UnknownColumn, got {other:?}"),
+        // One defect the binder would catch, one only the executor would
+        // (its float ordering panics on NaN): both stop at the edge.
+        let bad_plans = [
+            (Pred::lt("ghost", Value::Int(5)), "unknown_column"),
+            (Pred::lt("b", Value::Float(f64::NAN)), "nan_literal"),
+        ];
+        for (pred, code) in bad_plans {
+            let mut b = PlanBuilder::new();
+            let s = b.seq_scan("t", pred);
+            let bad = Arc::new(b.build(s));
+            // Submit twice: the second hit exercises the interned verdict.
+            for _ in 0..2 {
+                let resp = service.predict_blocking(Arc::clone(&bad), Some(1e6));
+                assert_eq!(resp.tier, ServedTier::Invalid);
+                assert_eq!(resp.decision, Decision::Reject);
+                assert!(resp.prob_in_time.is_nan());
+                let e = resp.plan_error.expect("Invalid carries the diagnostic");
+                assert_eq!(e.code(), code, "{e}");
             }
         }
         let stats = service.robustness_stats();
-        assert_eq!(stats.served_invalid, 2);
+        assert_eq!(stats.served_invalid, 4);
+        assert_eq!(stats.ladder_panics_caught + stats.worker_panics, 0);
         service.shutdown();
     }
 

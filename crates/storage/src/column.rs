@@ -127,26 +127,6 @@ impl ColumnData {
             ),
         }
     }
-
-    /// Appends `src[idx[0]], src[idx[1]], …` onto `self` (same type required).
-    pub fn extend_gather(&mut self, src: &ColumnData, idx: &[u32]) {
-        match (self, src) {
-            (ColumnData::Int(dst), ColumnData::Int(v)) => {
-                dst.extend(idx.iter().map(|&i| v[i as usize]));
-            }
-            (ColumnData::Float(dst), ColumnData::Float(v)) => {
-                dst.extend(idx.iter().map(|&i| v[i as usize]));
-            }
-            (ColumnData::Str(dst), ColumnData::Str(v)) => {
-                dst.extend(idx.iter().map(|&i| v[i as usize].clone()));
-            }
-            (dst, src) => panic!(
-                "extend_gather type mismatch: {:?} <- {:?}",
-                dst.ty(),
-                src.ty()
-            ),
-        }
-    }
 }
 
 impl AsRef<ColumnData> for ColumnData {
@@ -357,39 +337,34 @@ impl ColumnSlice {
         }
     }
 
-    /// Applies one shared selection to every column of a batch: each output
-    /// slice holds the same selection `Arc` (no per-column index copies).
-    /// Chains that exceed [`MAX_SELECTION_DEPTH`] are flattened, and the
-    /// composed vector is memoized per distinct input chain, so columns
-    /// that shared a chain before still share one flattened vector after.
-    pub fn select_all(cols: &[ColumnSlice], sel: &Arc<Vec<u32>>) -> Vec<ColumnSlice> {
+    /// Applies one shared selection to every column of a batch, in place:
+    /// each slice keeps its base handle and gains the same selection `Arc`
+    /// (no handle or index copies — every caller owns the batch it
+    /// re-selects). Chains that exceed [`MAX_SELECTION_DEPTH`] are
+    /// flattened, and the composed vector is memoized per distinct input
+    /// chain, so columns that shared a chain before still share one
+    /// flattened vector after.
+    pub fn select_all(cols: Vec<ColumnSlice>, sel: &Arc<Vec<u32>>) -> Vec<ColumnSlice> {
         // Memo key: the chain's Arc pointer identities, so columns sharing
         // a selection chain resolve to one flattened vector.
         type ChainKey = Vec<*const Vec<u32>>;
         let mut flats: Vec<(ChainKey, Arc<Vec<u32>>)> = Vec::new();
-        cols.iter()
-            .map(|c| {
-                let mut sels = c.sels.clone();
-                sels.push(sel.clone());
-                if sels.len() <= MAX_SELECTION_DEPTH {
-                    return ColumnSlice {
-                        base: c.base.clone(),
-                        sels,
+        cols.into_iter()
+            .map(|mut c| {
+                c.sels.push(sel.clone());
+                if c.sels.len() > MAX_SELECTION_DEPTH {
+                    let key: ChainKey = c.sels.iter().map(Arc::as_ptr).collect();
+                    let flat = match flats.iter().find(|(k, _)| *k == key) {
+                        Some((_, f)) => f.clone(),
+                        None => {
+                            let f = Arc::new(compose_chain(&c.sels));
+                            flats.push((key, f.clone()));
+                            f
+                        }
                     };
+                    c.sels = vec![flat];
                 }
-                let key: ChainKey = sels.iter().map(Arc::as_ptr).collect();
-                let flat = match flats.iter().find(|(k, _)| *k == key) {
-                    Some((_, f)) => f.clone(),
-                    None => {
-                        let f = Arc::new(compose_chain(&sels));
-                        flats.push((key, f.clone()));
-                        f
-                    }
-                };
-                ColumnSlice {
-                    base: c.base.clone(),
-                    sels: vec![flat],
-                }
+                c
             })
             .collect()
     }
@@ -494,10 +469,9 @@ mod tests {
         let cols = columns_from_rows(&schema, &rows);
         let g = cols[0].gather(&[4, 0, 0]);
         assert_eq!(g, ColumnData::Int(vec![4, 0, 0]));
-        let mut acc = ColumnData::empty(ColumnType::Str);
-        acc.extend_gather(&cols[2], &[1, 3]);
-        assert_eq!(acc.value(0), Value::str("s1"));
-        assert_eq!(acc.value(1), Value::str("s3"));
+        let g = cols[2].gather(&[1, 3]);
+        assert_eq!(g.value(0), Value::str("s1"));
+        assert_eq!(g.value(1), Value::str("s3"));
     }
 
     #[test]
@@ -577,7 +551,7 @@ mod tests {
         let b = ColumnRef::new(ColumnData::Float((0..10).map(|i| i as f64).collect()));
         let sel = Arc::new(vec![1u32, 4, 8]);
         let out = ColumnSlice::select_all(
-            &[ColumnSlice::dense(a.clone()), ColumnSlice::dense(b)],
+            vec![ColumnSlice::dense(a.clone()), ColumnSlice::dense(b)],
             &sel,
         );
         let tops: Vec<_> = out
@@ -599,11 +573,11 @@ mod tests {
         // every chain level, so the flattened vectors must be shared too.
         for _ in 0..MAX_SELECTION_DEPTH {
             let sel = Arc::new((0..cols[0].len() as u32 / 2).map(|i| i * 2).collect());
-            cols = ColumnSlice::select_all(&cols, &sel);
+            cols = ColumnSlice::select_all(cols, &sel);
         }
         assert_eq!(cols[0].selection_depth(), MAX_SELECTION_DEPTH);
         let sel = Arc::new(vec![0u32, 1]);
-        let flat = ColumnSlice::select_all(&cols, &sel);
+        let flat = ColumnSlice::select_all(cols.clone(), &sel);
         assert_eq!(flat[0].selection_depth(), 1);
         assert!(Arc::ptr_eq(
             flat[0].top_selection().expect("flattened"),

@@ -21,4 +21,4 @@ pub use histogram::Histogram;
 pub use sample::{sample_size_for_ratio, JoinIndex, SampleTable};
 pub use schema::{Column, ColumnType, Schema};
 pub use table::{Table, DEFAULT_TUPLES_PER_PAGE};
-pub use value::{Row, Value};
+pub use value::{order_f64, Row, Value};

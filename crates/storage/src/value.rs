@@ -105,10 +105,19 @@ impl Ord for Value {
                     b.numeric()
                         .unwrap_or_else(|| panic!("cannot order {a:?} vs {b:?}")),
                 );
-                x.partial_cmp(&y).expect("NaN in ordered value")
+                order_f64(x, y)
             }
         }
     }
+}
+
+/// The engine's one float ordering: `partial_cmp`, so `-0.0` and `0.0`
+/// order as equal (unlike `total_cmp`) even though [`Value`] *equality* is
+/// bit equality. NaN has no order and panics here; `uaq_engine::validate`
+/// rejects NaN literals in ordering predicates before they can reach it.
+#[inline]
+pub fn order_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).expect("NaN in ordered value")
 }
 
 impl fmt::Display for Value {

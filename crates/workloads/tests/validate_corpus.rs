@@ -192,6 +192,42 @@ fn string_vs_numeric_ordering_is_rejected_but_equality_is_not() {
 }
 
 #[test]
+fn nan_literals_are_rejected_under_ordering_but_not_equality() {
+    let c = toy_catalog();
+    let nan = || Value::Float(f64::NAN);
+    // Each of these would panic in the executor's float ordering.
+    let bad = [
+        Pred::lt("a", nan()),
+        Pred::cmp("b", CmpOp::Ge, nan()),
+        Pred::between("a", nan(), Value::Int(5)),
+        Pred::between("a", Value::Float(0.5), nan()),
+        Pred::or(vec![Pred::eq("a", Value::Int(1)), Pred::gt("a", nan())]),
+    ];
+    for p in bad {
+        let mut b = PlanBuilder::new();
+        let s = b.seq_scan("t", p);
+        expect_err(&c, &b.build(s), |e| {
+            assert!(matches!(e, PlanError::NanLiteral { .. }), "{e}");
+            assert_eq!(e.code(), "nan_literal");
+        });
+    }
+    // Equality on floats is bit equality, total over NaN: it executes
+    // (matching nothing here) instead of being rejected.
+    let fine = [
+        Pred::eq("a", nan()),
+        Pred::cmp("a", CmpOp::Ne, nan()),
+        Pred::in_list("a", vec![nan(), Value::Int(3)]),
+    ];
+    for p in fine {
+        let mut b = PlanBuilder::new();
+        let s = b.seq_scan("t", p);
+        let plan = b.build(s);
+        validate(&plan, &c).unwrap_or_else(|e| panic!("NaN equality wrongly rejected: {e}"));
+        uaq_engine::execute_full(&plan, &c);
+    }
+}
+
+#[test]
 fn join_defects_are_rejected() {
     let c = toy_catalog();
     // Int ⋈ Str keys can never compare equal.

@@ -149,11 +149,15 @@ pub struct Predictor {
 
 impl Predictor {
     /// Creates a predictor from calibrated cost-unit distributions (§3.1).
-    pub fn new(units: UnitDists, config: PredictorConfig) -> Self {
+    ///
+    /// `config.fit.grid_w` is clamped to ≥ 1: a zero-interval grid has no
+    /// points to fit on, and would otherwise panic in every prediction.
+    pub fn new(units: UnitDists, mut config: PredictorConfig) -> Self {
         let units = match config.variant {
             Variant::NoCostUnitVariance => units.without_variance(),
             _ => units,
         };
+        config.fit.grid_w = config.fit.grid_w.max(1);
         Self { units, config }
     }
 
@@ -733,6 +737,51 @@ mod tests {
             "the skipped stage reports that it was skipped"
         );
         assert!(full.sample_pass_ran);
+    }
+
+    #[test]
+    fn zero_grid_width_clamps_to_one() {
+        /// Records the signature fits are stored under.
+        #[derive(Default)]
+        struct Recording(std::sync::Mutex<Vec<FitSignature>>);
+        impl FitCache for Recording {
+            fn get_contexts(&self, _: &str) -> Option<Arc<Vec<NodeCostContext>>> {
+                None
+            }
+            fn put_contexts(&self, _: &str, _: &Arc<Vec<NodeCostContext>>) {}
+            fn get_fits(&self, _: &str, _: &FitSignature) -> Option<Arc<NodeFits>> {
+                None
+            }
+            fn put_fits(&self, _: &str, sig: &FitSignature, _: &Arc<NodeFits>) {
+                self.0.lock().unwrap().push(sig.clone());
+            }
+        }
+
+        let c = catalog();
+        let plan = join_plan();
+        let units = calibrated_units(&HardwareProfile::pc1(), 68);
+        let with_grid = |grid_w| {
+            let fit = FitConfig { grid_w };
+            Predictor::new(
+                units,
+                PredictorConfig {
+                    fit,
+                    ..Default::default()
+                },
+            )
+        };
+        let samples = c.draw_samples(0.05, 1, &mut Rng::new(69));
+        let cache = Recording::default();
+        let zero = with_grid(0).predict_with_cache(&plan, &c, &samples, &cache);
+        let one = with_grid(1).predict(&plan, &c, &samples);
+        assert!(zero.var() > 0.0);
+        assert_eq!(zero.mean_ms().to_bits(), one.mean_ms().to_bits());
+        assert_eq!(zero.var().to_bits(), one.var().to_bits());
+        let keyed = cache.0.lock().unwrap();
+        assert_eq!(
+            *keyed,
+            [FitSignature::new(1, &zero.sel_estimates.distributions())]
+        );
     }
 
     #[test]

@@ -9,13 +9,16 @@
 
 use crate::logical::{CostForm, FittedCost};
 use crate::oracle::NodeCostContext;
-use crate::units::CostUnit;
-use uaq_stats::{nnls, Matrix, Normal};
+use crate::units::{CostUnit, UnitCounts};
+use uaq_stats::{Gram, Matrix, Normal};
 
 /// Fitting knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct FitConfig {
     /// Number of grid subintervals `W` (§4.2): `W + 1` points per variable.
+    /// Must be ≥ 1 ([`grid_points`] asserts it); `Predictor::new` clamps a
+    /// zero to 1, so a mis-set serving config predicts instead of panicking
+    /// in every worker.
     pub grid_w: usize,
 }
 
@@ -54,7 +57,7 @@ pub fn grid_points(x: &Normal, w: usize) -> Vec<f64> {
 struct Probes {
     /// `(xl, xr, own)` per probe point.
     points: Vec<(f64, f64, f64)>,
-    counts: Vec<crate::units::UnitCounts>,
+    counts: Vec<UnitCounts>,
 }
 
 fn probe(ctx: &NodeCostContext, points: Vec<(f64, f64, f64)>) -> Probes {
@@ -65,23 +68,21 @@ fn probe(ctx: &NodeCostContext, points: Vec<(f64, f64, f64)>) -> Probes {
     Probes { points, counts }
 }
 
-/// Fits the cost function of one (operator, cost-unit) pair against
-/// precomputed probes. Returns `None` when the operator never exercises the
-/// unit.
-fn fit_from_probes(unit: CostUnit, form: CostForm, probes: &Probes) -> FittedCost {
+/// The design matrix of `form` over the probe points, column-scaled, with
+/// the scales (1 past the form's arity).
+///
+/// Column scaling: selectivities can be ~1e-9 while the intercept column
+/// is 1, which would wreck the normal equations' conditioning. NNLS is
+/// scale-covariant under positive column scaling, so the fits solve the
+/// scaled problem and unscale the coefficients.
+fn scaled_design(form: CostForm, points: &[(f64, f64, f64)]) -> (Matrix, [f64; 4]) {
     // One flat design matrix, no per-row allocation.
     let cols = form.arity();
-    let mut data = Vec::with_capacity(probes.points.len() * cols);
-    for &(pl, pr, po) in &probes.points {
+    let mut data = Vec::with_capacity(points.len() * cols);
+    for &(pl, pr, po) in points {
         form.design_row_into(pl, pr, po, &mut data);
     }
-    let y: Vec<f64> = probes.counts.iter().map(|c| c[unit]).collect();
-
-    // Column scaling: selectivities can be ~1e-9 while the intercept column
-    // is 1, which would wreck the normal equations' conditioning. NNLS is
-    // scale-covariant under positive column scaling, so solve the scaled
-    // problem and unscale the coefficients.
-    let mut scale = vec![0.0f64; cols];
+    let mut scale = [0.0f64; 4];
     for row in data.chunks_exact(cols) {
         for (s, v) in scale.iter_mut().zip(row) {
             *s = s.max(v.abs());
@@ -97,13 +98,11 @@ fn fit_from_probes(unit: CostUnit, form: CostForm, probes: &Probes) -> FittedCos
             *v /= s;
         }
     }
-    let solution = nnls(&Matrix::from_flat(data, cols), &y);
-    let coeffs: Vec<f64> = solution.x.iter().zip(&scale).map(|(b, s)| b / s).collect();
-    FittedCost::new(form, &coeffs)
+    (Matrix::from_flat(data, cols), scale)
 }
 
-/// Fits the cost function of one (operator, cost-unit) pair. Returns `None`
-/// when the operator never exercises the unit.
+/// Fits the cost function of one (operator, cost-unit) pair: one slot of
+/// [`fit_node`]. Returns `None` when the operator never exercises the unit.
 pub fn fit_cost_function(
     ctx: &NodeCostContext,
     unit: CostUnit,
@@ -112,13 +111,8 @@ pub fn fit_cost_function(
     own: &Normal,
     config: &FitConfig,
 ) -> Option<FittedCost> {
-    let form = ctx.form_for(unit)?;
-    if form == CostForm::Const {
-        let value = ctx.counts(xl.mean(), xr.mean(), own.mean())[unit];
-        return Some(FittedCost::constant(value));
-    }
-    let points = grid_for_form(form, xl, xr, own, config);
-    Some(fit_from_probes(unit, form, &probe(ctx, points)))
+    let fits = fit_node(ctx, xl, xr, own, config);
+    fits.into_iter().nth(unit.idx()).flatten()
 }
 
 /// Probe points for a form's grid category (§4.2).
@@ -165,8 +159,12 @@ fn grid_category(form: CostForm) -> u8 {
 }
 
 /// Fits all five unit functions of one operator. Oracle probes are shared
-/// across units with the same grid category: one `counts()` call yields all
-/// five unit values, so each distinct grid is walked exactly once.
+/// across units with the same grid category (one `counts()` call yields all
+/// five unit values, so each distinct grid is walked exactly once), and the
+/// scaled design matrix and its normal equations across units with the same
+/// form: a scan's `c_t`/`c_o`, a join's two C6' fits or an index scan's four
+/// C2' fits differ only in the right-hand side, so each costs one `Aᵀy` and
+/// one 4 × 4 active-set solve on top of the form's single design + Gram.
 pub fn fit_node(
     ctx: &NodeCostContext,
     xl: &Normal,
@@ -174,18 +172,41 @@ pub fn fit_node(
     own: &Normal,
     config: &FitConfig,
 ) -> [Option<FittedCost>; 5] {
+    let forms = CostUnit::ALL.map(|unit| ctx.form_for(unit));
     let mut cached: [Option<Probes>; 3] = [None, None, None];
-    CostUnit::ALL.map(|unit| {
-        let form = ctx.form_for(unit)?;
-        if form == CostForm::Const {
-            let value = ctx.counts(xl.mean(), xr.mean(), own.mean())[unit];
-            return Some(FittedCost::constant(value));
+    let mut fits: [Option<FittedCost>; 5] = [None, None, None, None, None];
+    let mut y = Vec::new();
+    for (first, &form) in forms.iter().enumerate() {
+        let Some(form) = form else { continue };
+        // A form's first unit fits every unit that shares it.
+        if forms.iter().take(first).any(|&f| f == Some(form)) {
+            continue;
         }
-        let cat = grid_category(form) as usize;
-        let probes =
-            cached[cat].get_or_insert_with(|| probe(ctx, grid_for_form(form, xl, xr, own, config)));
-        Some(fit_from_probes(unit, form, probes))
-    })
+        let sharing = (CostUnit::ALL.iter().zip(&forms).zip(&mut fits))
+            .filter(|((_, &f), _)| f == Some(form))
+            .map(|((&unit, _), slot)| (unit, slot));
+        if form == CostForm::Const {
+            for (unit, slot) in sharing {
+                let value = ctx.counts(xl.mean(), xr.mean(), own.mean())[unit];
+                *slot = Some(FittedCost::constant(value));
+            }
+            continue;
+        }
+        let probes = cached[grid_category(form) as usize]
+            .get_or_insert_with(|| probe(ctx, grid_for_form(form, xl, xr, own, config)));
+        let (design, scale) = scaled_design(form, &probes.points);
+        let gram = Gram::new(&design);
+        for (unit, slot) in sharing {
+            y.clear();
+            y.extend(probes.counts.iter().map(|c| c[unit]));
+            let mut b = gram.solve(&y);
+            for (coeff, s) in b.iter_mut().zip(&scale) {
+                *coeff /= s;
+            }
+            *slot = Some(FittedCost { form, b });
+        }
+    }
+    fits
 }
 
 #[cfg(test)]
@@ -329,6 +350,106 @@ mod tests {
             "fit {} vs truth {truth}",
             fit.eval(0.0, 0.0, 1e-6)
         );
+    }
+
+    /// The per-unit definition of one slot: that unit's own probes, its own
+    /// scaled design matrix, the public one-shot `nnls`.
+    fn fit_unit_alone(
+        ctx: &NodeCostContext,
+        unit: CostUnit,
+        (xl, xr, own): (&Normal, &Normal, &Normal),
+        config: &FitConfig,
+    ) -> Option<FittedCost> {
+        let form = ctx.form_for(unit)?;
+        if form == CostForm::Const {
+            let value = ctx.counts(xl.mean(), xr.mean(), own.mean())[unit];
+            return Some(FittedCost::constant(value));
+        }
+        let points = grid_for_form(form, xl, xr, own, config);
+        let mut rows: Vec<Vec<f64>> = points
+            .iter()
+            .map(|&(pl, pr, po)| form.design_row(pl, pr, po))
+            .collect();
+        let scale: Vec<f64> = (0..form.arity())
+            .map(|c| rows.iter().fold(0.0f64, |s, row| s.max(row[c].abs())))
+            .map(|s| if s == 0.0 { 1.0 } else { s })
+            .collect();
+        for row in &mut rows {
+            for (v, s) in row.iter_mut().zip(&scale) {
+                *v /= s;
+            }
+        }
+        let y: Vec<f64> = points
+            .iter()
+            .map(|&(pl, pr, po)| ctx.counts(pl, pr, po)[unit])
+            .collect();
+        let solution = uaq_stats::nnls(&Matrix::from_rows(rows), &y);
+        let coeffs: Vec<f64> = solution.x.iter().zip(&scale).map(|(b, s)| b / s).collect();
+        Some(FittedCost::new(form, &coeffs))
+    }
+
+    #[test]
+    fn shared_design_fits_equal_per_unit_fits_bit_for_bit() {
+        let c = catalog();
+        let mut b = PlanBuilder::new();
+        let seq = b.seq_scan("t", Pred::lt("b", Value::Int(900)));
+        let idx = b.index_scan("u", "x", Pred::lt("x", Value::Int(40)));
+        let filter = b.filter(seq, Pred::lt("a", Value::Int(40)));
+        let sort = b.sort(filter, vec![("b".into(), SortOrder::Asc)]);
+        let mat = b.materialize(idx);
+        let hash = b.hash_join(sort, mat, "a", "x");
+        let seq2 = b.seq_scan("u", Pred::True);
+        let nl = b.nl_join(hash, seq2, "a", "x");
+        let agg = b.aggregate(
+            nl,
+            vec!["a".into()],
+            vec![("cnt".into(), uaq_engine::AggFunc::CountStar)],
+        );
+        let plan = b.build(agg);
+        let kinds = [seq, idx, filter, sort, mat, hash, nl, agg];
+
+        let dists = [
+            Normal::new(0.4, 0.003),
+            Normal::new(1e-6, 1e-14),
+            // Degenerate: zero variance (at an interior mean, at 0, at 1).
+            Normal::point(0.4),
+            Normal::point(0.0),
+            Normal::point(1.0),
+            Normal::new(0.0, 0.0004),
+            Normal::new(1.0, 0.0004),
+            // σ wide enough that [μ ± 3σ] clamps at 0, at 1, at both.
+            Normal::new(0.05, 0.01),
+            Normal::new(0.95, 0.01),
+            Normal::new(0.5, 0.25),
+        ];
+        let mut slots = 0;
+        for &id in &kinds {
+            let ctx = NodeCostContext::build(&plan, id, &c);
+            for grid_w in [1usize, 4, 8, 16] {
+                let config = FitConfig { grid_w };
+                for (i, xl) in dists.iter().enumerate() {
+                    // Pair every left distribution with two others.
+                    let xr = &dists[(i + 3) % dists.len()];
+                    let own = &dists[(i + 7) % dists.len()];
+                    let fits = fit_node(&ctx, xl, xr, own, &config);
+                    for unit in CostUnit::ALL {
+                        let alone = fit_unit_alone(&ctx, unit, (xl, xr, own), &config);
+                        let shared = &fits[unit.idx()];
+                        assert_eq!(
+                            shared.as_ref().map(|f| (f.form, f.b.map(f64::to_bits))),
+                            alone.as_ref().map(|f| (f.form, f.b.map(f64::to_bits))),
+                            "{} {unit} W={grid_w} xl={xl:?} xr={xr:?} own={own:?}: \
+                             {shared:?} vs {alone:?}",
+                            plan.op(id).name()
+                        );
+                        assert_eq!(fit_cost_function(&ctx, unit, xl, xr, own, &config), *shared);
+                        slots += usize::from(shared.is_some());
+                    }
+                }
+            }
+        }
+        // 8 operators × 4 widths × 10 distribution triples; 2–4 live units each.
+        assert!(slots >= 8 * 4 * 10 * 2, "{slots}");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   from the warm-up, then takes `sample_size` timed samples spread over
 //!   `measurement_time`;
 //! * results are printed in a criterion-like `time: [lo mean hi]` format and
-//!   appended to `target/criterion-shim/<bench-binary>.json` so perf
-//!   baselines (e.g. `BENCH_pipeline.json`) can be recorded from machine
-//!   runs rather than hand-copied numbers.
+//!   appended to `target/criterion-shim/<bench-binary>.json`, so numbers
+//!   quoted from a micro-bench come from machine runs rather than being
+//!   hand-copied. (Regression gating is `uaq-bench`'s job, on live runs.)
 //!
 //! Swapping in the real criterion later is a one-line change in
 //! `crates/bench/Cargo.toml`; no bench source needs to change.

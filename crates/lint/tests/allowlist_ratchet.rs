@@ -6,12 +6,13 @@
 
 use uaq_lint::allowlist::Allowlist;
 
-/// 44 entries excusing 475 audited sites (48 / 565 at PR 10, which
+/// 44 entries excusing 443 audited sites (48 / 565 at PR 10, which
 /// introduced the linter; PR 13 took the row-at-a-time reference executor
-/// out of the library and routed every float ordering through one helper).
+/// out of the library and routed every float ordering through one helper;
+/// PR 14 moved the NNLS solver onto fixed-size storage walked by iterators).
 /// Lower either number when you remove sites.
 const MAX_ENTRIES: usize = 44;
-const MAX_TOTAL_BUDGET: usize = 475;
+const MAX_TOTAL_BUDGET: usize = 443;
 
 fn load() -> Allowlist {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint-allowlist.txt");

@@ -108,7 +108,12 @@ pub fn estimate_selectivities_with(
     catalog: &Catalog,
     agg_source: AggCardinalitySource,
 ) -> Vec<SelEstimate> {
-    let optimizer_est = estimate_cardinalities(plan, catalog);
+    // Read only at or above an aggregate, and the root is above them all.
+    let optimizer_est = if plan.meta(plan.root()).agg_at_or_below {
+        estimate_cardinalities(plan, catalog)
+    } else {
+        Vec::new()
+    };
     let mut out: Vec<Option<SelEstimate>> = vec![None; plan.len()];
 
     for id in plan.postorder() {

@@ -22,7 +22,7 @@ pub mod zipf;
 pub use correlation::{pearson, spearman};
 pub use ecdf::{dn, dn_at, dn_average, empirical_pr, model_pr, normalized_errors};
 pub use erf::{erf, erfc, std_normal_cdf, std_normal_quantile};
-pub use nnls::{nnls, Matrix, NnlsSolution};
+pub use nnls::{nnls, Gram, Matrix, NnlsSolution};
 pub use normal::{independent_product_mean_var, lemma4_var, lemma8_var, Normal};
 pub use par::{parallel_enabled, parallel_map};
 pub use rng::Rng;

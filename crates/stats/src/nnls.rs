@@ -4,7 +4,9 @@
 //! solving `min ‖Ab − y‖ s.t. b ≥ 0` with Scilab's `qpsolve` (§4.2, noting
 //! that "other equivalent solvers could also be used"). Our problems are tiny
 //! (≤ 4 unknowns, tens of rows) so a dense active-set solver is exact and
-//! fast.
+//! fast: it works from the normal equations in fixed-size storage ([`Gram`]),
+//! off the heap, and one design's normal equations serve every right-hand
+//! side fitted against it. [`nnls`] is the one-shot entry point.
 
 /// Dense row-major matrix, only what NNLS needs.
 #[derive(Debug, Clone)]
@@ -67,25 +69,133 @@ impl Matrix {
             })
             .collect()
     }
+}
 
-    /// `Aᵀ v`.
-    pub fn tr_mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows);
-        let mut out = vec![0.0; self.cols];
-        for (r, &vr) in v.iter().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += a * vr;
+/// Most unknowns a [`Gram`] holds: C6' (`X_l·X_r, X_l, X_r, 1`) is the
+/// largest logical form.
+const MAX_UNKNOWNS: usize = 4;
+
+type Vec4 = [f64; MAX_UNKNOWNS];
+type Mat4 = [Vec4; MAX_UNKNOWNS];
+
+/// The normal equations of one design matrix, in fixed-size storage: the
+/// Gram matrix `G = AᵀA` and what the solver's tolerance needs of `A`. Built
+/// once per design and shared by every right-hand side solved against it
+/// ([`Gram::solve`]) — the cost units of one (operator, form) pair differ
+/// only in `y`.
+#[derive(Debug)]
+pub struct Gram<'a> {
+    a: &'a Matrix,
+    /// `AᵀA`; rows and columns past `a.cols()` are zero.
+    g: Mat4,
+    /// `max(1, max |a_ij|)`.
+    a_scale: f64,
+}
+
+impl<'a> Gram<'a> {
+    /// Accumulates `AᵀA` (upper triangle, then mirrored).
+    pub fn new(a: &'a Matrix) -> Self {
+        assert!(
+            a.cols <= MAX_UNKNOWNS,
+            "Gram: {} unknowns, but the logical forms C1'–C6' have at most {MAX_UNKNOWNS}",
+            a.cols
+        );
+        let mut g = Mat4::default();
+        for row in a.data.chunks_exact(a.cols) {
+            for (i, (gi, &ai)) in g.iter_mut().zip(row).enumerate() {
+                if ai == 0.0 {
+                    continue;
+                }
+                for (gij, &aj) in gi.iter_mut().zip(row).skip(i) {
+                    *gij += ai * aj;
+                }
             }
         }
-        out
+        for i in 1..a.cols {
+            let (head, tail) = g.split_at_mut(i);
+            for (lower, upper) in tail[0].iter_mut().zip(head.iter()) {
+                *lower = upper[i];
+            }
+        }
+        let a_scale = a.data.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
+        Self { a, g, a_scale }
+    }
+
+    /// Lawson–Hanson non-negative least squares against this design:
+    /// `argmin ‖Ax − y‖₂ s.t. x ≥ 0`, entries past `a.cols()` zero.
+    /// Allocation-free: every gradient evaluation and passive-set solve
+    /// reads the `≤ 4 × 4` normal equations (O(n²)) instead of rescanning
+    /// the design matrix.
+    pub fn solve(&self, y: &[f64]) -> [f64; 4] {
+        assert_eq!(self.a.rows, y.len(), "nnls: dimension mismatch");
+        let n = self.a.cols;
+        let tol = 1e-10 * self.a_scale * y.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
+        let mut b = Vec4::default();
+        for (row, &yr) in self.a.data.chunks_exact(n).zip(y) {
+            for (bi, &ai) in b.iter_mut().zip(row) {
+                *bi += ai * yr;
+            }
+        }
+
+        let mut x = Vec4::default();
+        let mut in_passive = [false; MAX_UNKNOWNS];
+        for _outer in 0..10 * n.max(3) {
+            // Gradient of 0.5‖Ax − y‖²: w = Aᵀ(y − Ax) = b − Gx.
+            let mut w = Vec4::default();
+            for ((wi, bi), gi) in w.iter_mut().zip(&b).zip(&self.g) {
+                *wi = bi - gi.iter().zip(&x).take(n).map(|(g, xj)| g * xj).sum::<f64>();
+            }
+            let candidate = (0..n)
+                .filter(|&i| !in_passive[i])
+                .max_by(|&i, &j| w[i].total_cmp(&w[j]));
+            let Some(j) = candidate else { break };
+            if w[j] <= tol {
+                break;
+            }
+            in_passive[j] = true;
+
+            // Inner loop: keep the passive solution feasible.
+            for _inner in 0..10 * n.max(3) {
+                let Some(z) = ls_on_passive(&self.g, &b, &in_passive) else {
+                    // Singular subproblem: drop the newest variable and give up on it.
+                    in_passive[j] = false;
+                    break;
+                };
+                let passive = || z.iter().zip(&x).zip(&in_passive).filter(|(_, &p)| p);
+                if passive().all(|((&zi, _), _)| zi > tol) {
+                    x = z;
+                    break;
+                }
+                // Step toward z while staying feasible.
+                let mut alpha = f64::INFINITY;
+                for ((&zi, &xi), _) in passive() {
+                    if zi <= tol {
+                        let denom = xi - zi;
+                        if denom > 0.0 {
+                            alpha = alpha.min(xi / denom);
+                        }
+                    }
+                }
+                if !alpha.is_finite() {
+                    x = z.map(|v| v.max(0.0));
+                    break;
+                }
+                for ((xi, &zi), p) in x.iter_mut().zip(&z).zip(&mut in_passive) {
+                    *xi += alpha * (zi - *xi);
+                    if *p && *xi <= tol {
+                        *xi = 0.0;
+                        *p = false;
+                    }
+                }
+            }
+        }
+        x
     }
 }
 
-/// Solves the square system `M z = b` by Gaussian elimination with partial
-/// pivoting. Returns `None` if `M` is (numerically) singular.
-fn solve_square(mut m: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
-    let n = b.len();
+/// Solves the leading `n × n` system `M z = b` by Gaussian elimination with
+/// partial pivoting. Returns `None` if `M` is (numerically) singular.
+fn solve_square(mut m: Mat4, mut b: Vec4, n: usize) -> Option<Vec4> {
     for col in 0..n {
         let (pivot_row, pivot_abs) = (col..n)
             .map(|r| (r, m[r][col].abs()))
@@ -95,49 +205,55 @@ fn solve_square(mut m: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
         }
         m.swap(col, pivot_row);
         b.swap(col, pivot_row);
-        for r in col + 1..n {
-            let factor = m[r][col] / m[col][col];
+        let (pivot_rows, rest) = m.split_at_mut(col + 1);
+        let (pivot_b, rest_b) = b.split_at_mut(col + 1);
+        let (pivot, pivot_b) = (&pivot_rows[col], pivot_b[col]);
+        for (row, br) in rest.iter_mut().zip(rest_b).take(n - col - 1) {
+            let factor = row[col] / pivot[col];
             if factor == 0.0 {
                 continue;
             }
-            let (pivot, rest) = m.split_at_mut(r);
-            let pivot_vals = pivot[col][col..n].to_vec();
-            for (mc, pc) in rest[0][col..n].iter_mut().zip(&pivot_vals) {
+            for (mc, pc) in row.iter_mut().zip(pivot).take(n).skip(col) {
                 *mc -= factor * pc;
             }
-            b[r] -= factor * b[col];
+            *br -= factor * pivot_b;
         }
     }
-    let mut z = vec![0.0; n];
+    let mut z = Vec4::default();
     for row in (0..n).rev() {
-        let mut acc = b[row];
-        for c in row + 1..n {
-            acc -= m[row][c] * z[c];
-        }
-        z[row] = acc / m[row][row];
+        let m_row = &m[row];
+        let solved = m_row.iter().zip(&z).take(n).skip(row + 1);
+        z[row] = solved.fold(b[row], |acc, (mc, zc)| acc - mc * zc) / m_row[row];
     }
     Some(z)
 }
 
-/// Unconstrained least squares restricted to the columns in `passive`,
-/// solved from the precomputed Gram matrix / right-hand side (normal
-/// equations; our systems are tiny and well scaled).
-fn ls_on_passive(gram: &[Vec<f64>], b: &[f64], passive: &[usize]) -> Option<Vec<f64>> {
-    let p = passive.len();
-    let mut ata = vec![vec![0.0; p]; p];
-    let mut aty = vec![0.0; p];
-    for (i, &ci) in passive.iter().enumerate() {
-        aty[i] = b[ci];
-        for (j, &cj) in passive.iter().enumerate() {
-            ata[i][j] = gram[ci][cj];
+/// Unconstrained least squares restricted to the passive columns, solved
+/// from the normal equations (our systems are tiny and well scaled), with
+/// the solution scattered back to full width (zero off the passive set).
+fn ls_on_passive(gram: &Mat4, b: &Vec4, in_passive: &[bool; MAX_UNKNOWNS]) -> Option<Vec4> {
+    let mut ata = Mat4::default();
+    let mut aty = Vec4::default();
+    let mut p = 0;
+    let passive_rows = gram.iter().zip(b).zip(in_passive).filter(|(_, &on)| on);
+    for ((row, rhs), ((gi, &bi), _)) in ata.iter_mut().zip(&mut aty).zip(passive_rows) {
+        let passive_cols = gi.iter().zip(in_passive).filter(|(_, &on)| on);
+        for (mij, (&gij, _)) in row.iter_mut().zip(passive_cols) {
+            *mij = gij;
         }
+        *rhs = bi;
+        // A whisper of ridge for near-collinear grids (e.g. a degenerate
+        // fitting interval where X is constant).
+        row[p] += 1e-12 * (1.0 + row[p]);
+        p += 1;
     }
-    // A whisper of ridge for near-collinear grids (e.g. a degenerate
-    // fitting interval where X is constant).
-    for (i, row) in ata.iter_mut().enumerate() {
-        row[i] += 1e-12 * (1.0 + row[i]);
+    let z_p = solve_square(ata, aty, p)?;
+    let mut z = Vec4::default();
+    let passive_slots = z.iter_mut().zip(in_passive).filter(|(_, &on)| on);
+    for ((zi, _), &v) in passive_slots.zip(&z_p) {
+        *zi = v;
     }
-    solve_square(ata, aty)
+    Some(z)
 }
 
 /// Result of an NNLS solve.
@@ -149,100 +265,15 @@ pub struct NnlsSolution {
     pub residual_norm: f64,
 }
 
-/// Lawson–Hanson non-negative least squares: `min ‖Ax − y‖₂ s.t. x ≥ 0`.
+/// Lawson–Hanson non-negative least squares: `min ‖Ax − y‖₂ s.t. x ≥ 0`,
+/// for `a.cols() ≤ 4`. One-shot form of [`Gram::solve`] that also reports
+/// the residual.
 pub fn nnls(a: &Matrix, y: &[f64]) -> NnlsSolution {
-    assert_eq!(a.rows(), y.len(), "nnls: dimension mismatch");
-    let n = a.cols();
-    let mut x = vec![0.0; n];
-    let mut in_passive = vec![false; n];
-    let tol = 1e-10
-        * a.data.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0)
-        * y.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
-
-    // Precompute the Gram matrix `G = AᵀA` and `b = Aᵀy` once: every
-    // gradient evaluation and every passive-set solve below reads these
-    // (O(n²)) instead of rescanning the full design matrix (O(rows·n²)
-    // per active-set iteration).
-    let mut gram = vec![vec![0.0f64; n]; n];
-    for r in 0..a.rows() {
-        for (i, row) in gram.iter_mut().enumerate() {
-            let ai = a.at(r, i);
-            if ai == 0.0 {
-                continue;
-            }
-            for (j, g) in row.iter_mut().enumerate().skip(i) {
-                *g += ai * a.at(r, j);
-            }
-        }
-    }
-    // Mirror the upper triangle.
-    for i in 0..n {
-        let (head, tail) = gram.split_at_mut(i);
-        for (j, row) in head.iter().enumerate() {
-            tail[0][j] = row[i];
-        }
-    }
-    let b = a.tr_mul_vec(y);
-
-    for _outer in 0..10 * n.max(3) {
-        // Gradient of 0.5‖Ax − y‖²: w = Aᵀ(y − Ax) = b − Gx.
-        let w: Vec<f64> = b
-            .iter()
-            .zip(&gram)
-            .map(|(bi, gi)| bi - gi.iter().zip(&x).map(|(g, xj)| g * xj).sum::<f64>())
-            .collect();
-
-        let candidate = (0..n)
-            .filter(|&i| !in_passive[i])
-            .max_by(|&i, &j| w[i].total_cmp(&w[j]));
-        let Some(j) = candidate else { break };
-        if w[j] <= tol {
-            break;
-        }
-        in_passive[j] = true;
-
-        // Inner loop: keep the passive solution feasible.
-        for _inner in 0..10 * n.max(3) {
-            let passive: Vec<usize> = (0..n).filter(|&i| in_passive[i]).collect();
-            let Some(z_p) = ls_on_passive(&gram, &b, &passive) else {
-                // Singular subproblem: drop the newest variable and give up on it.
-                in_passive[j] = false;
-                break;
-            };
-            let mut z = vec![0.0; n];
-            for (&col, &val) in passive.iter().zip(&z_p) {
-                z[col] = val;
-            }
-            if passive.iter().all(|&i| z[i] > tol) {
-                x = z;
-                break;
-            }
-            // Step toward z while staying feasible.
-            let mut alpha = f64::INFINITY;
-            for &i in &passive {
-                if z[i] <= tol {
-                    let denom = x[i] - z[i];
-                    if denom > 0.0 {
-                        alpha = alpha.min(x[i] / denom);
-                    }
-                }
-            }
-            if !alpha.is_finite() {
-                x = z.iter().map(|v| v.max(0.0)).collect();
-                break;
-            }
-            for i in 0..n {
-                x[i] += alpha * (z[i] - x[i]);
-            }
-            for i in 0..n {
-                if in_passive[i] && x[i] <= tol {
-                    x[i] = 0.0;
-                    in_passive[i] = false;
-                }
-            }
-        }
-    }
-
+    let x = Gram::new(a)
+        .solve(y)
+        .into_iter()
+        .take(a.cols)
+        .collect::<Vec<_>>();
     let ax = a.mul_vec(&x);
     let residual_norm = y
         .iter()
@@ -366,7 +397,10 @@ mod tests {
             let sol = nnls(&a, &y);
             let ax = a.mul_vec(&sol.x);
             let resid: Vec<f64> = y.iter().zip(&ax).map(|(yi, axi)| yi - axi).collect();
-            let w = a.tr_mul_vec(&resid);
+            // Gradient Aᵀ(y − Ax), column by column.
+            let w: Vec<f64> = (0..cols)
+                .map(|c| (0..rows).map(|r| a.at(r, c) * resid[r]).sum())
+                .collect();
             for (i, &xi) in sol.x.iter().enumerate() {
                 assert!(xi >= 0.0, "infeasible x");
                 if xi > 1e-8 {
@@ -378,6 +412,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_gram_serves_every_right_hand_side() {
+        let a = Matrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 2.0], vec![1.0, 1.0]]);
+        let gram = Gram::new(&a);
+        for y in [[1.0, 2.0, 2.0], [3.0, -1.0, 0.5], [0.0, 0.0, 0.0]] {
+            let x = gram.solve(&y);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x[..2]), bits(&nnls(&a, &y).x));
+            // The unused tail of the fixed-size solution stays zero.
+            assert_eq!(bits(&x[2..]), bits(&[0.0, 0.0]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "C1'–C6' have at most 4")]
+    fn more_unknowns_than_the_largest_form_is_refused() {
+        let a = Matrix::from_rows(vec![vec![1.0; 5]; 6]);
+        let _ = Gram::new(&a);
     }
 
     #[test]

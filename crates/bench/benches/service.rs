@@ -256,10 +256,9 @@ fn bench_retry(c: &mut Criterion) {
 
 /// PR 8 shard scaling: a warm 256-request batch submitted by 4 client
 /// threads against the fully sharded configuration (per-worker queue
-/// shards, sharded caches, snapshot-served warm path), per worker count.
-/// Both cache levels are pre-warmed, so every serve takes the
-/// no-contended-locks warm path — the configuration whose throughput the
-/// sharding work is supposed to move.
+/// shards, sharded caches), per worker count. Both cache levels are
+/// pre-warmed and only two keys are hot, so every serve is two cache hits
+/// on at most two shard locks — the worst case for one lock per shard.
 fn bench_shard_scaling(c: &mut Criterion) {
     let s = setup();
     let mut group = c.benchmark_group("service");

@@ -8,11 +8,15 @@
 //!   qualified instance key (shape + catalog + literals + sample
 //!   fingerprint) → `SelEstimates`. A hit skips the sample pass entirely.
 //!
-//! Values are `Arc`-backed, so each lock is held only for the map probe —
-//! never across a sample pass, a fit, or a prediction — and hits are a
-//! pointer clone. Both caches are bit-transparent: everything a cached
-//! value depends on is part of its key, so a hit returns exactly what a
-//! fresh computation would produce.
+//! Both are sharded by FNV-1a of the key, and a shard is exactly one
+//! `Mutex<EvictingMap>`: the map holds the only copy of every entry, so
+//! the configured bounds are the real bounds and every hit is recorded
+//! with the eviction policy. A probe costs one FNV route plus one hash
+//! probe under the shard mutex. Values are `Arc`-backed, so the lock is
+//! held only for that probe — never across a sample pass, a fit, or a
+//! prediction — and hits are a pointer clone. Both caches are
+//! bit-transparent: everything a cached value depends on is part of its
+//! key, so a hit returns exactly what a fresh computation would produce.
 //!
 //! Eviction is policy-driven. PR 2 shipped "reject new when full"
 //! ([`EvictionPolicy::RejectNew`]), which is right for stable template
@@ -24,7 +28,7 @@
 //! plain [`EvictionPolicy::Lru`] would sacrifice.
 
 use crate::fault::{Fault, FaultInjector, FaultSite};
-use crate::sync::{lock_recover_with, Published};
+use crate::sync::lock_recover_with;
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -58,7 +62,9 @@ const PROTECTED_NUM: usize = 4;
 const PROTECTED_DEN: usize = 5;
 
 #[derive(Debug)]
-struct Slot<V> {
+struct Slot<K, V> {
+    /// The entry's key, kept so an eviction can drop its index entry.
+    key: K,
     value: V,
     /// Stamp of the most recent touch; queue entries with older stamps are
     /// stale markers and get skipped.
@@ -67,19 +73,25 @@ struct Slot<V> {
     protected: bool,
 }
 
-/// A bounded map with policy-driven eviction. Recency is tracked with lazy
-/// queues — a touch pushes a `(stamp, key)` marker and bumps the slot's
-/// stamp, invalidating older markers — so every operation is amortized
-/// O(1) with no intrusive list bookkeeping. Not thread-safe on its own;
-/// the shared caches wrap it in a `Mutex`.
+/// A bounded map with policy-driven eviction. Entries live in a slab; the
+/// hash map is only the key → slot index, so a hit is one hash probe and
+/// clones no key. Recency is tracked with lazy queues — a touch pushes a
+/// `(stamp, slot)` marker and bumps the slot's stamp, invalidating older
+/// markers — so every operation is amortized O(1) with no intrusive list
+/// bookkeeping. Stamps are unique, which is also what rejects a stale
+/// marker whose slot has since been reused by another key. Not
+/// thread-safe on its own; the shared caches wrap it in a `Mutex`.
 #[derive(Debug)]
 pub(crate) struct EvictingMap<K: Hash + Eq + Clone, V> {
     capacity: usize,
     policy: EvictionPolicy,
-    map: HashMap<K, Slot<V>>,
+    index: HashMap<K, usize>,
+    slots: Vec<Option<Slot<K, V>>>,
+    /// Vacated slot indices, reused before the slab grows.
+    free: Vec<usize>,
     /// Recency queues: `[probation, protected]`. `RejectNew`/`Lru` only
     /// use probation.
-    queues: [VecDeque<(u64, K)>; 2],
+    queues: [VecDeque<(u64, usize)>; 2],
     protected_len: usize,
     tick: u64,
     evictions: u64,
@@ -90,7 +102,9 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
         Self {
             capacity,
             policy,
-            map: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             queues: [VecDeque::new(), VecDeque::new()],
             protected_len: 0,
             tick: 0,
@@ -99,7 +113,7 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     pub fn evictions(&self) -> u64 {
@@ -111,14 +125,20 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map.contains_key(key)
+        self.index.contains_key(key)
     }
 
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
         self.queues[0].clear();
         self.queues[1].clear();
         self.protected_len = 0;
+    }
+
+    fn slot(&mut self, at: usize) -> &mut Slot<K, V> {
+        self.slots[at].as_mut().expect("indexed slot is live")
     }
 
     /// Looks an entry up and records the touch (promoting it under the
@@ -128,32 +148,12 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        // RejectNew never evicts, so recency is meaningless: keep it at
-        // its advertised zero bookkeeping (no key clones, no markers).
-        if self.policy != EvictionPolicy::RejectNew {
-            let owned = self.map.get_key_value(key).map(|(k, _)| k.clone())?;
-            if self.policy == EvictionPolicy::Segmented {
-                self.promote(&owned);
-            }
-            self.stamp(owned);
+        let at = *self.index.get(key)?;
+        if self.policy == EvictionPolicy::Segmented {
+            self.promote(at);
         }
-        self.map.get_mut(key).map(|slot| &mut slot.value)
-    }
-
-    /// Looks an entry up without recording a touch or needing `&mut` —
-    /// the snapshot builder reads entries through this without disturbing
-    /// recency.
-    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.map.get(key).map(|slot| &slot.value)
-    }
-
-    /// Iterates entries in arbitrary order, touching nothing.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.iter().map(|(k, slot)| (k, &slot.value))
+        self.stamp(at);
+        Some(&mut self.slot(at).value)
     }
 
     /// Looks an entry up **without** recording a touch. For fill paths
@@ -166,58 +166,67 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map.get_mut(key).map(|slot| &mut slot.value)
+        let at = *self.index.get(key)?;
+        Some(&mut self.slot(at).value)
     }
 
     /// Inserts a new entry, evicting per policy when full. Returns false
     /// when the entry was rejected (`RejectNew` at capacity, or capacity
     /// zero). The key must not already be present.
     pub fn try_insert(&mut self, key: K, value: V) -> bool {
-        debug_assert!(!self.map.contains_key(&key), "insert of present key");
+        debug_assert!(!self.index.contains_key(&key), "insert of present key");
         if self.capacity == 0 {
             return false;
         }
-        if self.map.len() >= self.capacity {
+        if self.index.len() >= self.capacity {
             if self.policy == EvictionPolicy::RejectNew {
                 return false;
             }
             self.evict_one();
-            if self.map.len() >= self.capacity {
+            if self.index.len() >= self.capacity {
                 return false;
             }
         }
-        self.map.insert(
-            key.clone(),
-            Slot {
-                value,
-                touch: 0,
-                protected: false,
-            },
-        );
-        self.stamp(key);
+        let slot = Some(Slot {
+            key: key.clone(),
+            value,
+            touch: 0,
+            protected: false,
+        });
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.slots[at] = slot;
+                at
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(key, at);
+        self.stamp(at);
         true
     }
 
     /// Moves a probation entry to the protected segment, demoting the
     /// protected LRU back to probation when the segment overflows.
-    fn promote(&mut self, key: &K) {
+    fn promote(&mut self, at: usize) {
         let protected_cap = self.capacity * PROTECTED_NUM / PROTECTED_DEN;
         if protected_cap == 0 {
             return;
         }
-        let slot = self.map.get_mut(key).expect("promote of present key");
+        let slot = self.slot(at);
         if slot.protected {
             return;
         }
         slot.protected = true;
         self.protected_len += 1;
         while self.protected_len > protected_cap {
-            // The just-promoted key has no marker in the protected queue
+            // The just-promoted entry has no marker in the protected queue
             // yet, so it can never demote itself here.
             match self.pop_valid(1) {
                 Some(victim) => {
-                    let s = self.map.get_mut(&victim).expect("popped key present");
-                    s.protected = false;
+                    self.slot(victim).protected = false;
                     self.protected_len -= 1;
                     // Demotion re-enters probation at the MRU end.
                     self.stamp(victim);
@@ -228,35 +237,39 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
     }
 
     /// Records a touch: bumps the slot stamp and pushes a fresh marker to
-    /// the slot's segment queue. No-op under `RejectNew` (nothing ever
-    /// consumes the markers).
-    fn stamp(&mut self, key: K) {
+    /// the slot's segment queue. No-op under `RejectNew`: it never evicts,
+    /// so recency is meaningless and it keeps its advertised zero
+    /// bookkeeping.
+    fn stamp(&mut self, at: usize) {
         if self.policy == EvictionPolicy::RejectNew {
             return;
         }
         self.tick += 1;
-        let slot = self.map.get_mut(&key).expect("stamp of present key");
-        slot.touch = self.tick;
+        let tick = self.tick;
+        let slot = self.slot(at);
+        slot.touch = tick;
         let segment = slot.protected as usize;
-        self.queues[segment].push_back((self.tick, key));
+        self.queues[segment].push_back((tick, at));
         // Lazy invalidation means stale markers accumulate; rebuild the
         // queue when they dominate (amortized O(1) per touch).
-        if self.queues[segment].len() > 2 * self.map.len() + 8 {
-            let map = &self.map;
-            self.queues[segment].retain(|(stamp, k)| {
-                map.get(k)
-                    .is_some_and(|s| s.touch == *stamp && s.protected as usize == segment)
-            });
+        if self.queues[segment].len() > 2 * self.index.len() + 8 {
+            let slots = &self.slots;
+            self.queues[segment].retain(|&(stamp, at)| Self::names(slots, stamp, at, segment));
         }
     }
 
+    /// Whether marker `(stamp, at)` still names a live entry of `segment`.
+    fn names(slots: &[Option<Slot<K, V>>], stamp: u64, at: usize, segment: usize) -> bool {
+        slots[at]
+            .as_ref()
+            .is_some_and(|s| s.touch == stamp && s.protected as usize == segment)
+    }
+
     /// Pops queue markers until one still names its segment's live LRU.
-    fn pop_valid(&mut self, segment: usize) -> Option<K> {
-        while let Some((stamp, key)) = self.queues[segment].pop_front() {
-            if let Some(slot) = self.map.get(&key) {
-                if slot.touch == stamp && slot.protected as usize == segment {
-                    return Some(key);
-                }
+    fn pop_valid(&mut self, segment: usize) -> Option<usize> {
+        while let Some((stamp, at)) = self.queues[segment].pop_front() {
+            if Self::names(&self.slots, stamp, at, segment) {
+                return Some(at);
             }
         }
         None
@@ -270,8 +283,10 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
             // protected LRU.
             EvictionPolicy::Segmented => self.pop_valid(0).or_else(|| self.pop_valid(1)),
         };
-        if let Some(key) = victim {
-            let slot = self.map.remove(&key).expect("victim present");
+        if let Some(at) = victim {
+            let slot = self.slots[at].take().expect("victim is live");
+            self.index.remove(&slot.key);
+            self.free.push(at);
             if slot.protected {
                 self.protected_len -= 1;
             }
@@ -419,11 +434,6 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// toward one shard.
 const MIN_KEYS_PER_SHARD: usize = 64;
 
-/// Locked hits accumulated in a shard before its warm snapshot is
-/// republished. The first hit after an empty snapshot publishes
-/// immediately so a newly warm key reaches the lock-free path at once.
-const PUBLISH_BATCH: usize = 4;
-
 /// Shard count actually used for a cache of `capacity` total slots.
 fn effective_shards(requested: usize, capacity: usize) -> usize {
     requested.max(1).min((capacity / MIN_KEYS_PER_SHARD).max(1))
@@ -442,58 +452,33 @@ fn shard_of(key: &str, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Read-only copy of one shape's cached state, owned by a warm snapshot.
-#[derive(Default)]
-struct ShapeSnap {
-    contexts: Option<Arc<Vec<NodeCostContext>>>,
-    fits: HashMap<FitSignature, Arc<NodeFits>>,
-}
-
-/// An immutable published view of a fit shard's hot entries. Readers get
-/// it via [`Published::load`] — a refcount bump, never the shard's map
-/// lock — so a warm predict takes zero contended locks.
-#[derive(Default)]
-struct FitSnapshot {
-    shapes: HashMap<String, ShapeSnap>,
-}
-
-/// One fit-cache shard: the mutable map behind its own mutex, plus the
-/// lock-free-read warm snapshot. Lock order is map before snapshot slot;
-/// snapshot loads take only the slot.
-struct FitShard {
-    map: Mutex<FitShardInner>,
-    warm: Published<FitSnapshot>,
-}
-
-struct FitShardInner {
-    map: EvictingMap<String, ShapeEntry>,
-    /// Shapes that took a locked hit since the last publish — the
-    /// candidates to add to the next snapshot.
-    pending: Vec<String>,
-    /// Shape count of the currently published snapshot (0 after clear or
-    /// poison recovery, which is what forces an eager republish).
-    snapshot_len: usize,
-}
-
-impl FitShardInner {
-    fn invalidate(&mut self) {
-        self.map.clear();
-        self.pending.clear();
-        self.snapshot_len = 0;
+/// Fires the chaos probe of a cache lookup and says whether the lookup
+/// must report a miss. Called with the shard guard held, so an injected
+/// `Panic` poisons the lock — the scenario the shards' poison recovery
+/// exists for.
+fn forced_miss(injector: &Option<Arc<dyn FaultInjector>>, site: FaultSite) -> bool {
+    match injector.as_ref().and_then(|i| i.inject(site, usize::MAX)) {
+        Some(Fault::ProbeMiss) => true,
+        Some(f) => {
+            crate::fault::apply(f, site);
+            false
+        }
+        None => false,
     }
 }
+
+type FitShard = Mutex<EvictingMap<String, ShapeEntry>>;
 
 /// Thread-safe fit cache, sharded by FNV-1a of the shape signature. Safe
 /// to share across catalogs and predictor configs: the predictor keys
 /// entries on (plan shape, catalog fingerprint) and fits additionally on
 /// everything they depend on.
 ///
-/// Each shard evicts independently (a hot shard can evict while a cold
-/// one has room — the price of independent locks), and each publishes a
-/// read-only snapshot of its hot entries so warm lookups bypass the map
-/// lock entirely. Snapshots lag the map by design; bit-transparency means
-/// a stale snapshot can only miss or serve the exact value a fresh
-/// computation would produce, never a wrong one.
+/// A shard is one [`EvictingMap`] behind one mutex and holds the only copy
+/// of its entries: a probe is one FNV route and one map probe under the
+/// shard lock, every hit reaches the eviction policy, and an evicted entry
+/// is gone. Each shard evicts independently (a hot shard can evict while
+/// a cold one has room — the price of independent locks).
 pub struct SharedFitCache {
     config: CacheConfig,
     shards: Vec<FitShard>,
@@ -508,14 +493,7 @@ impl SharedFitCache {
         Self {
             config,
             shards: (0..n)
-                .map(|_| FitShard {
-                    map: Mutex::new(FitShardInner {
-                        map: EvictingMap::new(per_shard, config.eviction),
-                        pending: Vec::new(),
-                        snapshot_len: 0,
-                    }),
-                    warm: Published::new(FitSnapshot::default()),
-                })
+                .map(|_| Mutex::new(EvictingMap::new(per_shard, config.eviction)))
                 .collect(),
             counters: Counters::default(),
             injector: None,
@@ -524,12 +502,11 @@ impl SharedFitCache {
 
     /// Test-only in spirit: wires a fault injector into the lookup paths
     /// ([`FaultSite::FitCacheProbe`]) so the chaos harness can poison the
-    /// cache lock mid-probe and force misses.
-    pub fn with_injector(config: CacheConfig, injector: Arc<dyn FaultInjector>) -> Self {
-        Self {
-            injector: injector.active().then_some(injector),
-            ..Self::new(config)
-        }
+    /// cache lock mid-probe and force misses. An inactive injector is
+    /// dropped here, so the production probe pays one branch.
+    pub fn with_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
+        self.injector = injector.active().then_some(injector);
+        self
     }
 
     /// Rebinds the probe counters onto `registry` (series
@@ -546,22 +523,11 @@ impl SharedFitCache {
         &self.shards[shard_of(shape, self.shards.len())]
     }
 
-    /// Locks one shard's map, recovering from poison by invalidating that
-    /// shard (map, pending, and published snapshot): the panicking holder
-    /// may have died mid-update, and bit-transparency makes
-    /// drop-and-recompute always correct.
-    fn lock_shard<'a>(&'a self, shard: &'a FitShard) -> MutexGuard<'a, FitShardInner> {
-        lock_recover_with(&shard.map, &self.counters.poison_recoveries, |inner| {
-            inner.invalidate();
-            shard.warm.store(Arc::new(FitSnapshot::default()));
-        })
-    }
-
-    /// Test-only seam: locks the shard owning `shape` (the poison tests
-    /// hold this guard across a panic).
-    #[cfg(test)]
-    fn lock_map_for(&self, shape: &str) -> MutexGuard<'_, FitShardInner> {
-        self.lock_shard(self.shard(shape))
+    /// Locks one shard, recovering from poison by invalidating it: the
+    /// panicking holder may have died mid-update, and bit-transparency
+    /// makes drop-and-recompute always correct.
+    fn lock<'a>(&self, shard: &'a FitShard) -> MutexGuard<'a, EvictingMap<String, ShapeEntry>> {
+        lock_recover_with(shard, &self.counters.poison_recoveries, EvictingMap::clear)
     }
 
     /// Exposed for the service/tests: how many shards this cache runs.
@@ -569,64 +535,36 @@ impl SharedFitCache {
         self.shards.len()
     }
 
-    fn probe_fault(&self) -> Option<Fault> {
-        self.injector
-            .as_ref()
-            .and_then(|i| i.inject(FaultSite::FitCacheProbe, usize::MAX))
-    }
-
-    /// Records a locked hit on `shape` and republishes the shard's warm
-    /// snapshot when enough hits accumulated (or eagerly while the
-    /// snapshot is empty). Skipped entirely when a fault injector is
-    /// wired in: the chaos schedules predate snapshots and their replay
-    /// determinism depends on every probe taking the locked path.
-    fn note_warm_hit(&self, shard: &FitShard, inner: &mut FitShardInner, shape: &str) {
-        if self.injector.is_some() {
-            return;
-        }
-        if !inner.pending.iter().any(|p| p == shape) {
-            inner.pending.push(shape.to_owned());
-        }
-        if inner.pending.len() >= PUBLISH_BATCH || inner.snapshot_len == 0 {
-            self.publish_locked(shard, inner);
-        }
-    }
-
-    /// Rebuilds and swaps in the shard's snapshot: previous snapshot keys
-    /// plus pending hits, filtered to what the map still holds (so the
-    /// snapshot size is bounded by the shard capacity).
-    fn publish_locked(&self, shard: &FitShard, inner: &mut FitShardInner) {
-        let prev = shard.warm.load();
-        let mut shapes: HashMap<String, ShapeSnap> = HashMap::new();
-        for key in prev.shapes.keys().chain(inner.pending.iter()) {
-            if shapes.contains_key(key) {
-                continue;
-            }
-            if let Some(entry) = inner.map.peek(key) {
-                shapes.insert(
-                    key.clone(),
-                    ShapeSnap {
-                        contexts: entry.contexts.clone(),
-                        fits: entry
-                            .fits
-                            .iter()
-                            .map(|(s, f)| (s.clone(), Arc::clone(f)))
-                            .collect(),
-                    },
-                );
-            }
-        }
-        inner.pending.clear();
-        inner.snapshot_len = shapes.len();
-        shard.warm.store(Arc::new(FitSnapshot { shapes }));
+    /// One lookup: `read` runs on the shape's entry under the shard lock
+    /// (the hit is recorded with the eviction policy), the outcome is
+    /// counted after the lock is released.
+    fn probe<T>(
+        &self,
+        shape: &str,
+        hits: &Counter,
+        misses: &Counter,
+        read: impl FnOnce(&mut ShapeEntry) -> Option<T>,
+    ) -> Option<T> {
+        let mut map = self.lock(self.shard(shape));
+        let hit = if forced_miss(&self.injector, FaultSite::FitCacheProbe) {
+            None
+        } else {
+            map.get(shape).and_then(read)
+        };
+        drop(map);
+        match &hit {
+            Some(_) => hits.inc(),
+            None => misses.inc(),
+        };
+        hit
     }
 
     pub fn stats(&self) -> CacheStats {
         let (mut shapes, mut evictions) = (0, 0);
         for shard in &self.shards {
-            let inner = self.lock_shard(shard);
-            shapes += inner.map.len();
-            evictions += inner.map.evictions();
+            let map = self.lock(shard);
+            shapes += map.len();
+            evictions += map.evictions();
         }
         CacheStats {
             context_hits: self.counters.context_hits.get(),
@@ -640,13 +578,10 @@ impl SharedFitCache {
         }
     }
 
-    /// Drops every entry and every published snapshot (counters are
-    /// retained).
+    /// Drops every entry (counters are retained).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut inner = self.lock_shard(shard);
-            inner.invalidate();
-            shard.warm.store(Arc::new(FitSnapshot::default()));
+            self.lock(shard).clear();
         }
     }
 
@@ -666,111 +601,36 @@ impl Default for SharedFitCache {
 
 impl FitCache for SharedFitCache {
     fn get_contexts(&self, shape: &str) -> Option<Arc<Vec<NodeCostContext>>> {
-        let shard = self.shard(shape);
-        // Warm path: the published snapshot, no map lock. Disabled under
-        // a fault injector so chaos replays keep their locked-path
-        // schedules.
-        if self.injector.is_none() {
-            if let Some(ctxs) = shard
-                .warm
-                .load()
-                .shapes
-                .get(shape)
-                .and_then(|s| s.contexts.clone())
-            {
-                self.counters.context_hits.inc();
-                return Some(ctxs);
-            }
-        }
-        let mut inner = self.lock_shard(shard);
-        let forced_miss = match self.probe_fault() {
-            Some(Fault::ProbeMiss) => true,
-            // A `Panic` fires while the guard is held, poisoning the
-            // lock — the scenario `lock_shard` recovery exists for.
-            Some(f) => {
-                crate::fault::apply(f, FaultSite::FitCacheProbe);
-                false
-            }
-            None => false,
-        };
-        let hit = if forced_miss {
-            None
-        } else {
-            inner.map.get(shape).and_then(|e| e.contexts.clone())
-        };
-        if hit.is_some() {
-            self.note_warm_hit(shard, &mut inner, shape);
-        }
-        drop(inner);
-        match &hit {
-            Some(_) => self.counters.context_hits.inc(),
-            None => self.counters.context_misses.inc(),
-        };
-        hit
+        let c = &self.counters;
+        self.probe(shape, &c.context_hits, &c.context_misses, |e| {
+            e.contexts.clone()
+        })
     }
 
     fn put_contexts(&self, shape: &str, contexts: &Arc<Vec<NodeCostContext>>) {
-        let shard = self.shard(shape);
-        let mut inner = self.lock_shard(shard);
-        if let Some(entry) = inner.map.peek_mut(shape) {
+        let mut map = self.lock(self.shard(shape));
+        if let Some(entry) = map.peek_mut(shape) {
             entry.contexts.get_or_insert_with(|| Arc::clone(contexts));
         } else {
             let mut entry = self.empty_entry();
             entry.contexts = Some(Arc::clone(contexts));
-            inner.map.try_insert(shape.to_owned(), entry);
+            map.try_insert(shape.to_owned(), entry);
         }
     }
 
     fn get_fits(&self, shape: &str, sig: &FitSignature) -> Option<Arc<NodeFits>> {
-        let shard = self.shard(shape);
-        if self.injector.is_none() {
-            if let Some(fits) = shard
-                .warm
-                .load()
-                .shapes
-                .get(shape)
-                .and_then(|s| s.fits.get(sig).cloned())
-            {
-                self.counters.fit_hits.inc();
-                return Some(fits);
-            }
-        }
-        let mut inner = self.lock_shard(shard);
-        let forced_miss = match self.probe_fault() {
-            Some(Fault::ProbeMiss) => true,
-            Some(f) => {
-                crate::fault::apply(f, FaultSite::FitCacheProbe);
-                false
-            }
-            None => false,
-        };
-        let hit = if forced_miss {
-            None
-        } else {
-            inner
-                .map
-                .get(shape)
-                .and_then(|e| e.fits.get(sig).map(|f| Arc::clone(f)))
-        };
-        if hit.is_some() {
-            self.note_warm_hit(shard, &mut inner, shape);
-        }
-        drop(inner);
-        match &hit {
-            Some(_) => self.counters.fit_hits.inc(),
-            None => self.counters.fit_misses.inc(),
-        };
-        hit
+        let c = &self.counters;
+        self.probe(shape, &c.fit_hits, &c.fit_misses, |e| {
+            e.fits.get(sig).map(|f| Arc::clone(f))
+        })
     }
 
     fn put_fits(&self, shape: &str, sig: &FitSignature, fits: &Arc<NodeFits>) {
-        let shard = self.shard(shape);
-        let mut inner = self.lock_shard(shard);
-        if !inner.map.contains(shape) && !inner.map.try_insert(shape.to_owned(), self.empty_entry())
-        {
+        let mut map = self.lock(self.shard(shape));
+        if !map.contains(shape) && !map.try_insert(shape.to_owned(), self.empty_entry()) {
             return;
         }
-        if let Some(entry) = inner.map.peek_mut(shape) {
+        if let Some(entry) = map.peek_mut(shape) {
             if !entry.fits.contains(sig) {
                 entry.fits.try_insert(sig.clone(), Arc::clone(fits));
             }
@@ -789,25 +649,7 @@ pub struct SelCacheStats {
     pub poison_recoveries: u64,
 }
 
-/// One sel-cache shard; mirrors [`FitShard`].
-struct SelShard {
-    map: Mutex<SelShardInner>,
-    warm: Published<HashMap<String, SelEstimates>>,
-}
-
-struct SelShardInner {
-    map: EvictingMap<String, SelEstimates>,
-    pending: Vec<String>,
-    snapshot_len: usize,
-}
-
-impl SelShardInner {
-    fn invalidate(&mut self) {
-        self.map.clear();
-        self.pending.clear();
-        self.snapshot_len = 0;
-    }
-}
+type SelShard = Mutex<EvictingMap<String, SelEstimates>>;
 
 /// Thread-safe selectivity-estimate cache: fully qualified instance key →
 /// [`SelEstimates`]. The key already encodes shape, catalog fingerprint,
@@ -815,9 +657,8 @@ impl SelShardInner {
 /// (built by `Predictor::predict_with_caches`), so one instance is safe to
 /// share across catalogs, sample sets, and predictor configs.
 ///
-/// Sharded by FNV-1a of the instance key, with a per-shard published
-/// snapshot serving warm reads without the map lock — the same layout and
-/// caveats as [`SharedFitCache`].
+/// Sharded by FNV-1a of the instance key, one [`EvictingMap`] behind one
+/// mutex per shard — the same layout as [`SharedFitCache`].
 pub struct SharedSelEstCache {
     shards: Vec<SelShard>,
     hits: Counter,
@@ -838,14 +679,7 @@ impl SharedSelEstCache {
         let per_shard = max_entries.div_ceil(n);
         Self {
             shards: (0..n)
-                .map(|_| SelShard {
-                    map: Mutex::new(SelShardInner {
-                        map: EvictingMap::new(per_shard, eviction),
-                        pending: Vec::new(),
-                        snapshot_len: 0,
-                    }),
-                    warm: Published::new(HashMap::new()),
-                })
+                .map(|_| Mutex::new(EvictingMap::new(per_shard, eviction)))
                 .collect(),
             hits: Counter::detached(),
             misses: Counter::detached(),
@@ -856,15 +690,9 @@ impl SharedSelEstCache {
 
     /// Wires a fault injector into the lookup path
     /// ([`FaultSite::SelCacheProbe`]); see [`SharedFitCache::with_injector`].
-    pub fn with_injector(
-        max_entries: usize,
-        eviction: EvictionPolicy,
-        injector: Arc<dyn FaultInjector>,
-    ) -> Self {
-        Self {
-            injector: injector.active().then_some(injector),
-            ..Self::new(max_entries, eviction)
-        }
+    pub fn with_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
+        self.injector = injector.active().then_some(injector);
+        self
     }
 
     /// Rebinds the probe counters onto `registry` (series
@@ -889,17 +717,9 @@ impl SharedSelEstCache {
         &self.shards[shard_of(key, self.shards.len())]
     }
 
-    fn lock_shard<'a>(&'a self, shard: &'a SelShard) -> MutexGuard<'a, SelShardInner> {
-        lock_recover_with(&shard.map, &self.poison_recoveries, |inner| {
-            inner.invalidate();
-            shard.warm.store(Arc::new(HashMap::new()));
-        })
-    }
-
-    /// Test-only seam: locks the shard owning `key`.
-    #[cfg(test)]
-    fn lock_map_for(&self, key: &str) -> MutexGuard<'_, SelShardInner> {
-        self.lock_shard(self.shard(key))
+    /// See [`SharedFitCache::lock`].
+    fn lock<'a>(&self, shard: &'a SelShard) -> MutexGuard<'a, EvictingMap<String, SelEstimates>> {
+        lock_recover_with(shard, &self.poison_recoveries, EvictingMap::clear)
     }
 
     /// Exposed for the service/tests: how many shards this cache runs.
@@ -907,37 +727,12 @@ impl SharedSelEstCache {
         self.shards.len()
     }
 
-    /// See [`SharedFitCache::note_warm_hit`].
-    fn note_warm_hit(&self, shard: &SelShard, inner: &mut SelShardInner, key: &str) {
-        if self.injector.is_some() {
-            return;
-        }
-        if !inner.pending.iter().any(|p| p == key) {
-            inner.pending.push(key.to_owned());
-        }
-        if inner.pending.len() >= PUBLISH_BATCH || inner.snapshot_len == 0 {
-            let prev = shard.warm.load();
-            let mut snap: HashMap<String, SelEstimates> = HashMap::new();
-            for k in prev.keys().chain(inner.pending.iter()) {
-                if snap.contains_key(k) {
-                    continue;
-                }
-                if let Some(est) = inner.map.peek(k) {
-                    snap.insert(k.clone(), est.clone());
-                }
-            }
-            inner.pending.clear();
-            inner.snapshot_len = snap.len();
-            shard.warm.store(Arc::new(snap));
-        }
-    }
-
     pub fn stats(&self) -> SelCacheStats {
         let (mut entries, mut evictions) = (0, 0);
         for shard in &self.shards {
-            let inner = self.lock_shard(shard);
-            entries += inner.map.len();
-            evictions += inner.map.evictions();
+            let map = self.lock(shard);
+            entries += map.len();
+            evictions += map.evictions();
         }
         SelCacheStats {
             hits: self.hits.get(),
@@ -948,13 +743,10 @@ impl SharedSelEstCache {
         }
     }
 
-    /// Drops every entry and every published snapshot (counters are
-    /// retained).
+    /// Drops every entry (counters are retained).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut inner = self.lock_shard(shard);
-            inner.invalidate();
-            shard.warm.store(Arc::new(HashMap::new()));
+            self.lock(shard).clear();
         }
     }
 }
@@ -968,38 +760,13 @@ impl Default for SharedSelEstCache {
 
 impl SelEstCache for SharedSelEstCache {
     fn get(&self, key: &str) -> Option<SelEstimates> {
-        let shard = self.shard(key);
-        // Warm path: the published snapshot, no map lock (disabled under
-        // a fault injector — see `SharedFitCache`).
-        if self.injector.is_none() {
-            if let Some(est) = shard.warm.load().get(key).cloned() {
-                self.hits.inc();
-                return Some(est);
-            }
-        }
-        let mut inner = self.lock_shard(shard);
-        let forced_miss = match self
-            .injector
-            .as_ref()
-            .and_then(|i| i.inject(FaultSite::SelCacheProbe, usize::MAX))
-        {
-            Some(Fault::ProbeMiss) => true,
-            // Fires while the guard is held: a `Panic` poisons the lock.
-            Some(f) => {
-                crate::fault::apply(f, FaultSite::SelCacheProbe);
-                false
-            }
-            None => false,
-        };
-        let hit = if forced_miss {
+        let mut map = self.lock(self.shard(key));
+        let hit = if forced_miss(&self.injector, FaultSite::SelCacheProbe) {
             None
         } else {
-            inner.map.get(key).map(|e| e.clone())
+            map.get(key).map(|e| e.clone())
         };
-        if hit.is_some() {
-            self.note_warm_hit(shard, &mut inner, key);
-        }
-        drop(inner);
+        drop(map);
         match &hit {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
@@ -1008,10 +775,9 @@ impl SelEstCache for SharedSelEstCache {
     }
 
     fn put(&self, key: &str, estimates: &SelEstimates) {
-        let shard = self.shard(key);
-        let mut inner = self.lock_shard(shard);
-        if !inner.map.contains(key) {
-            inner.map.try_insert(key.to_owned(), estimates.clone());
+        let mut map = self.lock(self.shard(key));
+        if !map.contains(key) {
+            map.try_insert(key.to_owned(), estimates.clone());
         }
     }
 }
@@ -1283,6 +1049,224 @@ mod tests {
         );
     }
 
+    /// Naive reference for [`EvictingMap`]: `[probation, protected]`, each
+    /// a `Vec` ordered LRU → MRU, every operation a linear scan.
+    struct ModelMap {
+        capacity: usize,
+        policy: EvictionPolicy,
+        segments: [Vec<(u32, u64)>; 2],
+        evictions: u64,
+    }
+
+    impl ModelMap {
+        fn find(&self, key: u32) -> Option<(usize, usize)> {
+            (0..2).find_map(|s| {
+                let at = self.segments[s].iter().position(|(k, _)| *k == key)?;
+                Some((s, at))
+            })
+        }
+
+        fn value(&mut self, key: u32) -> Option<&mut u64> {
+            let (s, at) = self.find(key)?;
+            Some(&mut self.segments[s][at].1)
+        }
+
+        fn get(&mut self, key: u32) -> Option<&mut u64> {
+            let (s, at) = self.find(key)?;
+            let protected_cap = self.capacity * PROTECTED_NUM / PROTECTED_DEN;
+            let target = match self.policy {
+                EvictionPolicy::RejectNew => return self.value(key),
+                EvictionPolicy::Lru => 0,
+                EvictionPolicy::Segmented if protected_cap == 0 => 0,
+                EvictionPolicy::Segmented => 1,
+            };
+            let entry = self.segments[s].remove(at);
+            if s == 0 && target == 1 {
+                while self.segments[1].len() + 1 > protected_cap {
+                    let demoted = self.segments[1].remove(0);
+                    self.segments[0].push(demoted);
+                }
+            }
+            self.segments[target].push(entry);
+            self.value(key)
+        }
+
+        /// Returns (admitted, victim).
+        fn try_insert(&mut self, key: u32, value: u64) -> (bool, Option<u32>) {
+            if self.capacity == 0 {
+                return (false, None);
+            }
+            let mut victim = None;
+            if self.segments[0].len() + self.segments[1].len() >= self.capacity {
+                if self.policy == EvictionPolicy::RejectNew {
+                    return (false, None);
+                }
+                let s = usize::from(self.segments[0].is_empty());
+                victim = Some(self.segments[s].remove(0).0);
+                self.evictions += 1;
+            }
+            self.segments[0].push((key, value));
+            (true, victim)
+        }
+    }
+
+    #[test]
+    fn evicting_map_matches_a_naive_ordered_vec_model() {
+        const UNIVERSE: u32 = 12;
+        let policies = [
+            EvictionPolicy::RejectNew,
+            EvictionPolicy::Lru,
+            EvictionPolicy::Segmented,
+        ];
+        for (p, policy) in policies.into_iter().enumerate() {
+            for capacity in 0..=8usize {
+                let mut rng = uaq_stats::Rng::new(0xE71C ^ ((p as u64) << 8) ^ capacity as u64);
+                let mut real: EvictingMap<u32, u64> = EvictingMap::new(capacity, policy);
+                let mut model = ModelMap {
+                    capacity,
+                    policy,
+                    segments: [Vec::new(), Vec::new()],
+                    evictions: 0,
+                };
+                for step in 0..3000u64 {
+                    let at = format!("{policy:?} capacity {capacity} step {step}");
+                    let key = rng.u64_below(u64::from(UNIVERSE)) as u32;
+                    match rng.u64_below(100) {
+                        0 => {
+                            real.clear();
+                            model.segments = [Vec::new(), Vec::new()];
+                        }
+                        1..=44 => {
+                            let (r, m) = (real.get(&key), model.get(key));
+                            assert_eq!(r.as_deref(), m.as_deref(), "get: {at}");
+                            if let (Some(r), Some(m)) = (r, m) {
+                                *r += step;
+                                *m += step;
+                            }
+                        }
+                        45..=59 => {
+                            let (r, m) = (real.peek_mut(&key), model.value(key));
+                            assert_eq!(r.as_deref(), m.as_deref(), "peek_mut: {at}");
+                            if let (Some(r), Some(m)) = (r, m) {
+                                *r ^= step;
+                                *m ^= step;
+                            }
+                        }
+                        _ if real.contains(&key) => {}
+                        _ => {
+                            let held = |m: &EvictingMap<u32, u64>| -> Vec<u32> {
+                                (0..UNIVERSE).filter(|k| m.contains(k)).collect()
+                            };
+                            let before = held(&real);
+                            let admitted = real.try_insert(key, step);
+                            let after = held(&real);
+                            let victim = before.iter().copied().find(|k| !after.contains(k));
+                            assert_eq!(
+                                (admitted, victim),
+                                model.try_insert(key, step),
+                                "insert: {at}"
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        real.len(),
+                        model.segments[0].len() + model.segments[1].len(),
+                        "len: {at}"
+                    );
+                    assert_eq!(real.evictions(), model.evictions, "evictions: {at}");
+                    for k in 0..UNIVERSE {
+                        assert_eq!(
+                            real.peek_mut(&k).copied(),
+                            model.value(k).copied(),
+                            "key {k}: {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One shared cache behind a put / get face, for the tests that pin
+    /// what a hit does to either of them.
+    struct Face {
+        name: &'static str,
+        put: Box<dyn Fn(&str)>,
+        get: Box<dyn Fn(&str) -> bool>,
+        entries: Box<dyn Fn() -> usize>,
+    }
+
+    /// Both shared caches at `capacity` entries (small enough to collapse
+    /// to one shard, so one `EvictingMap` decides every eviction).
+    fn one_shard_faces(policy: EvictionPolicy, capacity: usize) -> [Face; 2] {
+        let fit = Arc::new(fit_cache(policy, capacity));
+        let sel = Arc::new(SharedSelEstCache::new(capacity, policy));
+        assert_eq!((fit.shard_count(), sel.shard_count()), (1, 1));
+        let (fit_put, fit_get) = (Arc::clone(&fit), Arc::clone(&fit));
+        let (sel_put, sel_get) = (Arc::clone(&sel), Arc::clone(&sel));
+        [
+            Face {
+                name: "fit",
+                put: Box::new(move |k| fit_put.put_contexts(k, &Arc::new(Vec::new()))),
+                get: Box::new(move |k| fit_get.get_contexts(k).is_some()),
+                entries: Box::new(move || fit.stats().shapes),
+            },
+            Face {
+                name: "sel",
+                put: Box::new(move |k| sel_put.put(k, &SelEstimates::from_vec(Vec::new()))),
+                get: Box::new(move |k| uaq_cost::SelEstCache::get(&*sel_get, k).is_some()),
+                entries: Box::new(move || sel.stats().entries),
+            },
+        ]
+    }
+
+    #[test]
+    fn every_hit_reaches_the_policy_and_an_evicted_key_stops_answering() {
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::Segmented] {
+            for face in one_shard_faces(policy, 2) {
+                let at = format!("{} {policy:?}", face.name);
+                (face.put)("a");
+                (face.put)("b");
+                for k in ["a", "b", "a"] {
+                    assert!((face.get)(k), "{at}: {k} is held");
+                }
+                // The third hit made `b` the LRU, so `c` displaces `b`.
+                (face.put)("c");
+                let answered = ["a", "b", "c"].map(|k| (face.get)(k));
+                assert_eq!(answered, [true, false, true], "{at}");
+                assert_eq!((face.entries)(), 2, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_cache_hits_touch_exactly_like_a_bare_evicting_map() {
+        const KEYS: [&str; 9] = ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8"];
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::Segmented] {
+            for face in one_shard_faces(policy, 5) {
+                let mut bare: EvictingMap<&'static str, ()> = EvictingMap::new(5, policy);
+                let mut rng = uaq_stats::Rng::new(0x70C4);
+                for step in 0..2000 {
+                    // Skewed picks, so some keys are hit many times in a
+                    // row while others churn through the cold end.
+                    let pick = rng.usize_below(KEYS.len()).min(rng.usize_below(KEYS.len()));
+                    let key = KEYS[pick];
+                    let hit = (face.get)(key);
+                    assert_eq!(
+                        hit,
+                        bare.get(key).is_some(),
+                        "{} {policy:?} step {step}: {key}",
+                        face.name
+                    );
+                    if !hit {
+                        (face.put)(key);
+                        bare.try_insert(key, ());
+                    }
+                }
+                assert_eq!((face.entries)(), bare.len());
+            }
+        }
+    }
+
     #[test]
     fn poisoned_fit_cache_recovers_by_invalidating() {
         let cache = Arc::new(SharedFitCache::default());
@@ -1290,7 +1274,7 @@ mod tests {
         let poisoner = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
-                let _guard = cache.lock_map_for("s1");
+                let _guard = cache.lock(cache.shard("s1"));
                 panic!("poison the cache lock");
             })
         };
@@ -1317,7 +1301,7 @@ mod tests {
         let poisoner = {
             let sel = Arc::clone(&sel);
             std::thread::spawn(move || {
-                let _guard = sel.lock_map_for("k");
+                let _guard = sel.lock(sel.shard("k"));
                 panic!("poison the sel cache lock");
             })
         };
@@ -1338,13 +1322,13 @@ mod tests {
                 Some(Fault::ProbeMiss)
             }
         }
-        let cache = SharedFitCache::with_injector(CacheConfig::default(), Arc::new(AlwaysMiss));
+        let cache = SharedFitCache::default().with_injector(Arc::new(AlwaysMiss));
         cache.put_contexts("s1", &Arc::new(Vec::new()));
         assert!(cache.get_contexts("s1").is_none(), "probe forced to miss");
         assert_eq!(cache.stats().shapes, 1, "the entry itself is intact");
 
-        let sel =
-            SharedSelEstCache::with_injector(64, EvictionPolicy::default(), Arc::new(AlwaysMiss));
+        let sel = SharedSelEstCache::new(64, EvictionPolicy::default())
+            .with_injector(Arc::new(AlwaysMiss));
         sel.put("k", &SelEstimates::from_vec(Vec::new()));
         assert!(uaq_cost::SelEstCache::get(&sel, "k").is_none());
         assert_eq!(sel.stats().entries, 1);
@@ -1352,8 +1336,7 @@ mod tests {
 
     #[test]
     fn inactive_injector_is_dropped_at_construction() {
-        let cache =
-            SharedFitCache::with_injector(CacheConfig::default(), Arc::new(crate::fault::NoFaults));
+        let cache = SharedFitCache::default().with_injector(Arc::new(crate::fault::NoFaults));
         assert!(cache.injector.is_none(), "inactive injector adds no probes");
         cache.put_contexts("s1", &Arc::new(Vec::new()));
         assert!(cache.get_contexts("s1").is_some());
@@ -1442,83 +1425,6 @@ mod tests {
             assert!(a < shards);
             assert_eq!(a, shard_of("shape-a", shards), "routing is stable");
         }
-    }
-
-    #[test]
-    fn warm_snapshot_serves_after_a_locked_hit_without_the_map_lock() {
-        let cache = SharedFitCache::default();
-        let ctxs = Arc::new(Vec::new());
-        cache.put_contexts("s1", &ctxs);
-        // First get: locked hit — publishes eagerly (snapshot was empty).
-        assert!(cache.get_contexts("s1").is_some());
-        // The snapshot now holds the shape: a warm read succeeds even
-        // while another thread wedges the shard's map lock.
-        let shard = cache.shard("s1");
-        let _wedge = cache.lock_shard(shard);
-        let snap = shard.warm.load();
-        assert!(
-            snap.shapes
-                .get("s1")
-                .and_then(|s| s.contexts.clone())
-                .is_some(),
-            "published snapshot must hold the warm shape"
-        );
-        assert!(
-            Arc::ptr_eq(&snap.shapes["s1"].contexts.clone().unwrap(), &ctxs),
-            "snapshot shares the cached allocation"
-        );
-    }
-
-    #[test]
-    fn sel_warm_snapshot_publishes_and_clear_invalidates_it() {
-        let sel = SharedSelEstCache::default();
-        let est = SelEstimates::from_vec(Vec::new());
-        sel.put("k1", &est);
-        assert!(uaq_cost::SelEstCache::get(&sel, "k1").is_some()); // publish
-        let shard = sel.shard("k1");
-        assert!(
-            shard.warm.load().get("k1").is_some(),
-            "snapshot published after first locked hit"
-        );
-        // A warm hit shares the cached allocation and counts as a hit.
-        let hit = uaq_cost::SelEstCache::get(&sel, "k1").expect("warm hit");
-        assert!(hit.ptr_eq(&est));
-        assert_eq!(sel.stats().hits, 2);
-        sel.clear();
-        assert!(
-            shard.warm.load().get("k1").is_none(),
-            "clear must invalidate published snapshots too"
-        );
-        assert!(uaq_cost::SelEstCache::get(&sel, "k1").is_none());
-    }
-
-    #[test]
-    fn poison_recovery_invalidates_the_published_snapshot() {
-        let cache = Arc::new(SharedFitCache::default());
-        cache.put_contexts("s1", &Arc::new(Vec::new()));
-        assert!(cache.get_contexts("s1").is_some()); // publish snapshot
-        let poisoner = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                let _guard = cache.lock_map_for("s1");
-                panic!("poison the shard lock");
-            })
-        };
-        assert!(poisoner.join().is_err());
-        // Until someone takes the poisoned lock, the immutable snapshot
-        // keeps serving — it was published before the panic, so its
-        // values are exactly what a fresh computation would produce.
-        assert!(
-            cache.get_contexts("s1").is_some(),
-            "pre-panic snapshot is still bit-correct"
-        );
-        // The next lock acquisition (stats locks every shard) runs
-        // recovery, which must drop the snapshot along with the map.
-        assert_eq!(cache.stats().poison_recoveries, 1);
-        assert!(
-            cache.get_contexts("s1").is_none(),
-            "warm path must not outlive the poison invalidation"
-        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Four pieces:
 //!
 //! * [`PredictionService`] — a [`ShardedWorkQueue`] (per-worker deques
-//!   with seeded work stealing; one shard reproduces the single MPMC
-//!   [`WorkQueue`] exactly) feeding a pool of worker threads that share
+//!   with seeded work stealing; one shard is a single exact-FIFO MPMC
+//!   queue) feeding a pool of worker threads that share
 //!   one [`Predictor`](uaq_core::Predictor), catalog, and sample set
 //!   behind `Arc`s; each [`PredictRequest`] (plan + optional deadline +
 //!   [`TenantId`]) yields a [`PredictResponse`] carrying the full
@@ -38,7 +38,8 @@
 //!   freed server — see the note in [`service`].)
 //!
 //! Both caches are bounded with a pluggable [`EvictionPolicy`] (segmented
-//! LRU by default; PR 2's reject-new stays selectable). Responses are
+//! LRU by default; PR 2's reject-new stays selectable) and sharded, each
+//! shard one bounded map behind one mutex. Responses are
 //! deterministic: predictions are pure functions of (plan, catalog,
 //! samples, config), and hits at either cache level are bit-identical to
 //! fresh computations by construction, so worker count, scheduling order,
@@ -82,7 +83,7 @@ pub use fault::{
     silence_injected_panics, Fault, FaultInjector, FaultPlan, FaultSite, NoFaults,
     SeededFaultInjector, INJECTED_PANIC,
 };
-pub use queue::{Popped, Pushed, ShardedWorkQueue, WorkQueue};
+pub use queue::{Popped, Pushed, ShardedWorkQueue};
 pub use service::{
     PredictRequest, PredictResponse, PredictionService, RetryPolicy, RobustnessStats, ServedTier,
     ServiceConfig, ShedPolicy,

@@ -1,16 +1,18 @@
-//! A blocking MPMC work queue on `Mutex<VecDeque>` + `Condvar`.
+//! A blocking MPMC work queue sharded into per-consumer deques
+//! (`Mutex<VecDeque>` each, one `Condvar`) with randomized work stealing.
 //!
 //! Std-only by constraint (the container has no crates.io access) and by
 //! sufficiency: the unit of work behind each pop is a full prediction —
 //! sample-pass execution plus fitting — which is microseconds to
-//! milliseconds, so a single well-held lock around the deque is nowhere
-//! near contention. Lock-free MPMC would buy nothing here.
+//! milliseconds, so a briefly held lock around each deque is nowhere near
+//! contention. Lock-free MPMC would buy nothing here.
 //!
 //! The queue is poison-tolerant (a consumer that panics mid-pop must not
 //! take the whole service down — see [`crate::sync`]) and optionally
-//! bounded: [`WorkQueue::bounded`] plus [`WorkQueue::push_bounded`] give
-//! the service's overload control a high-water mark at which it can shed
-//! a *chosen* queued item instead of growing without bound.
+//! bounded: [`ShardedWorkQueue::bounded`] plus
+//! [`ShardedWorkQueue::push_bounded`] give the service's overload control
+//! a high-water mark at which it can shed a *chosen* queued item instead
+//! of growing without bound.
 
 use crate::sync::lock_recover;
 use std::collections::VecDeque;
@@ -18,12 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Outcome of a [`WorkQueue::pop_timeout`].
+/// Outcome of a [`ShardedWorkQueue::pop_timeout`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum Popped<T> {
     /// The next queued item.
@@ -34,7 +31,7 @@ pub enum Popped<T> {
     Closed,
 }
 
-/// Outcome of a [`WorkQueue::push_bounded`] against a capacity-limited
+/// Outcome of a [`ShardedWorkQueue::push_bounded`] against a capacity-limited
 /// queue. The non-`Queued` variants hand the displaced item back to the
 /// caller, who owes it a response.
 #[derive(Debug, PartialEq, Eq)]
@@ -48,180 +45,6 @@ pub enum Pushed<T> {
     Shed(T),
     /// The queue is closed; the new item is handed back untouched.
     Closed(T),
-}
-
-/// Multi-producer multi-consumer FIFO queue with blocking pop,
-/// close-to-drain shutdown, and optional bounded capacity.
-pub struct WorkQueue<T> {
-    inner: Mutex<Inner<T>>,
-    ready: Condvar,
-    capacity: Option<usize>,
-}
-
-impl<T> WorkQueue<T> {
-    pub fn new() -> Self {
-        Self::with_capacity(None)
-    }
-
-    /// A queue that holds at most `capacity` items; [`Self::push_bounded`]
-    /// sheds past that mark. Plain [`Self::push`] ignores the bound (the
-    /// caller opts into shedding per call site).
-    pub fn bounded(capacity: usize) -> Self {
-        Self::with_capacity(Some(capacity.max(1)))
-    }
-
-    fn with_capacity(capacity: Option<usize>) -> Self {
-        Self {
-            inner: Mutex::new(Inner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Enqueues one item. Returns `false` (dropping the item) if the queue
-    /// has been closed.
-    pub fn push(&self, item: T) -> bool {
-        let mut inner = lock_recover(&self.inner);
-        if inner.closed {
-            return false;
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Enqueues one item against the capacity bound. At the high-water
-    /// mark, `select_victim` inspects the queued items plus the incoming
-    /// one and names the queued index to shed — or `None` to shed the
-    /// incoming item itself. Either way the shed item is returned in
-    /// [`Pushed::Shed`] so the caller can answer it; nothing is silently
-    /// dropped. On an unbounded queue this is exactly [`Self::push`].
-    pub fn push_bounded(
-        &self,
-        item: T,
-        select_victim: impl FnOnce(&VecDeque<T>, &T) -> Option<usize>,
-    ) -> Pushed<T> {
-        let mut inner = lock_recover(&self.inner);
-        if inner.closed {
-            return Pushed::Closed(item);
-        }
-        if let Some(cap) = self.capacity {
-            if inner.items.len() >= cap {
-                match select_victim(&inner.items, &item) {
-                    Some(idx) if idx < inner.items.len() => {
-                        let victim = inner.items.remove(idx).expect("victim index in bounds");
-                        inner.items.push_back(item);
-                        drop(inner);
-                        self.ready.notify_one();
-                        return Pushed::Shed(victim);
-                    }
-                    _ => return Pushed::Shed(item),
-                }
-            }
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.ready.notify_one();
-        Pushed::Queued
-    }
-
-    /// Blocks until an item is available (FIFO) or the queue is closed
-    /// *and* drained, in which case `None` signals workers to exit.
-    pub fn pop(&self) -> Option<T> {
-        match self.pop_timeout(None) {
-            Popped::Item(item) => Some(item),
-            Popped::Closed => None,
-            Popped::TimedOut => unreachable!("no timeout requested"),
-        }
-    }
-
-    /// Like [`Self::pop`], but with an optional wait bound: `None` blocks
-    /// indefinitely, `Some(d)` returns [`Popped::TimedOut`] once `d` has
-    /// elapsed with nothing to pop. The service's retry scheduler uses the
-    /// bounded form as its fallback tick so deferred requests are
-    /// re-decided even when no completion events occur.
-    ///
-    /// The bound is a *deadline*, not a per-wait budget: the deadline is
-    /// fixed once up front and each `wait_timeout` gets only the remaining
-    /// slice, so spurious wakeups cannot stretch the total wait beyond `d`
-    /// (re-waiting with the full original timeout after every wakeup
-    /// would).
-    pub fn pop_timeout(&self, timeout: Option<Duration>) -> Popped<T> {
-        let deadline = timeout.map(|d| Instant::now() + d);
-        let mut inner = lock_recover(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Popped::Item(item);
-            }
-            if inner.closed {
-                return Popped::Closed;
-            }
-            match deadline {
-                None => inner = self.ready.wait(inner).unwrap_or_else(|p| p.into_inner()),
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Popped::TimedOut;
-                    }
-                    let (guard, result) = self
-                        .ready
-                        .wait_timeout(inner, remaining)
-                        .unwrap_or_else(|p| p.into_inner());
-                    inner = guard;
-                    if result.timed_out()
-                        && deadline.saturating_duration_since(Instant::now()).is_zero()
-                    {
-                        // One last look under the lock before reporting the
-                        // timeout (an item may have raced the wakeup).
-                        return match inner.items.pop_front() {
-                            Some(item) => Popped::Item(item),
-                            None if inner.closed => Popped::Closed,
-                            None => Popped::TimedOut,
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    /// Closes the queue: pending items still drain, further pushes are
-    /// rejected, and blocked poppers wake up.
-    pub fn close(&self) {
-        lock_recover(&self.inner).closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Whether [`Self::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        lock_recover(&self.inner).closed
-    }
-
-    /// Items currently waiting (diagnostics only — stale by the time the
-    /// caller looks at it).
-    pub fn len(&self) -> usize {
-        lock_recover(&self.inner).items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Test-only: wake every waiter without delivering anything, to force
-    /// the spurious-wakeup path of [`Self::pop_timeout`].
-    #[cfg(test)]
-    pub(crate) fn notify_spuriously(&self) {
-        self.ready.notify_all();
-    }
-}
-
-impl<T> Default for WorkQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// One step of the splitmix64 generator — the steal-order RNG. Seeded per
@@ -246,7 +69,7 @@ struct SharedState {
 }
 
 /// A blocking MPMC queue sharded into per-consumer deques with randomized
-/// work stealing — the multi-core replacement for [`WorkQueue`].
+/// work stealing, close-to-drain shutdown, and optional bounded capacity.
 ///
 /// * **Push** routes round-robin across shards (arrival order is preserved
 ///   per shard; the global order is FIFO-per-shard, which collapses to
@@ -258,10 +81,10 @@ struct SharedState {
 ///   uncontended shard mutex.
 /// * **Overload** ([`Self::push_bounded`]) locks *all* shards in index
 ///   order at the high-water mark and presents the selector one flattened
-///   view — the same semantics as [`WorkQueue::push_bounded`], paid only
-///   under overload.
-/// * **Close-to-drain**, deadline-based `pop_timeout`, and poison
-///   tolerance carry over from [`WorkQueue`] unchanged.
+///   view — paid only under overload.
+/// * **Close-to-drain**: [`Self::close`] rejects further pushes, pending
+///   items still drain, and a popper that finds the queue closed and
+///   empty is told to exit.
 ///
 /// Lock order: sleep lock (`state`) before any shard lock; shard locks in
 /// ascending index order; never the reverse.
@@ -284,7 +107,8 @@ impl<T> ShardedWorkQueue<T> {
     }
 
     /// A bounded queue: [`Self::push_bounded`] sheds past `capacity`
-    /// items total (across all shards).
+    /// items total (across all shards). Plain [`Self::push`] ignores the
+    /// bound (the caller opts into shedding per call site).
     pub fn bounded(shards: usize, capacity: usize) -> Self {
         Self::build(shards, Some(capacity.max(1)))
     }
@@ -344,10 +168,13 @@ impl<T> ShardedWorkQueue<T> {
         true
     }
 
-    /// Enqueues against the capacity bound; see [`WorkQueue::push_bounded`]
-    /// for the contract. The selector sees one flattened read-only view of
-    /// every queued item (shard 0 front→back, then shard 1, …) and names a
-    /// flat index to shed, or `None` to shed the incoming item.
+    /// Enqueues one item against the capacity bound. At the high-water
+    /// mark, `select_victim` sees one flattened read-only view of every
+    /// queued item (shard 0 front→back, then shard 1, …) plus the incoming
+    /// one, and names the flat index to shed — or `None` to shed the
+    /// incoming item itself. Either way the shed item is returned in
+    /// [`Pushed::Shed`] so the caller can answer it; nothing is silently
+    /// dropped. On an unbounded queue this is exactly [`Self::push`].
     pub fn push_bounded(
         &self,
         item: T,
@@ -407,9 +234,17 @@ impl<T> ShardedWorkQueue<T> {
         }
     }
 
-    /// Like [`Self::pop`] with an optional wait bound; deadline semantics
-    /// are identical to [`WorkQueue::pop_timeout`] (the bound is fixed up
-    /// front; spurious wakeups cannot stretch it).
+    /// Like [`Self::pop`], but with an optional wait bound: `None` blocks
+    /// indefinitely, `Some(d)` returns [`Popped::TimedOut`] once `d` has
+    /// elapsed with nothing to pop. The service's retry scheduler uses the
+    /// bounded form as its fallback tick so deferred requests are
+    /// re-decided even when no completion events occur.
+    ///
+    /// The bound is a *deadline*, not a per-wait budget: the deadline is
+    /// fixed once up front and each `wait_timeout` gets only the remaining
+    /// slice, so spurious wakeups cannot stretch the total wait beyond `d`
+    /// (re-waiting with the full original timeout after every wakeup
+    /// would).
     pub fn pop_timeout(
         &self,
         me: usize,
@@ -511,167 +346,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn fifo_single_thread() {
-        let q = WorkQueue::new();
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn close_drains_then_signals_exit() {
-        let q = WorkQueue::new();
-        q.push(7);
-        q.close();
-        assert!(q.is_closed());
-        assert!(!q.push(8), "push after close must be rejected");
-        assert_eq!(q.pop(), Some(7), "pending items drain after close");
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_timeout_times_out_then_delivers() {
-        let q: WorkQueue<u32> = WorkQueue::new();
-        assert_eq!(
-            q.pop_timeout(Some(std::time::Duration::from_millis(1))),
-            Popped::TimedOut
-        );
-        q.push(9);
-        assert_eq!(
-            q.pop_timeout(Some(std::time::Duration::from_millis(1))),
-            Popped::Item(9)
-        );
-        q.close();
-        assert_eq!(
-            q.pop_timeout(Some(std::time::Duration::from_millis(1))),
-            Popped::Closed
-        );
-    }
-
-    #[test]
-    fn spurious_wakeups_do_not_extend_the_timeout() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new());
-        let waker = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                // Hammer the condvar with empty wakeups for longer than the
-                // pop's deadline. With per-wait timeout restarts, each
-                // wakeup would rearm the full 50ms and the pop would hang
-                // until the hammering stops.
-                let end = Instant::now() + Duration::from_millis(400);
-                while Instant::now() < end {
-                    q.notify_spuriously();
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        let start = Instant::now();
-        let popped = q.pop_timeout(Some(Duration::from_millis(50)));
-        let waited = start.elapsed();
-        waker.join().expect("waker");
-        assert_eq!(popped, Popped::TimedOut);
-        assert!(
-            waited < Duration::from_millis(300),
-            "deadline must hold under spurious wakeups; waited {waited:?}"
-        );
-    }
-
-    #[test]
-    fn bounded_queue_sheds_selected_victim_or_incoming() {
-        let q: WorkQueue<u32> = WorkQueue::bounded(2);
-        assert_eq!(q.push_bounded(1, |_, _| None), Pushed::Queued);
-        assert_eq!(q.push_bounded(2, |_, _| None), Pushed::Queued);
-        // At capacity, selector declines: the incoming item is shed.
-        assert_eq!(q.push_bounded(3, |_, _| None), Pushed::Shed(3));
-        // Selector names a queued victim: it is displaced by the new item.
-        assert_eq!(
-            q.push_bounded(4, |items, _| {
-                assert_eq!(items.len(), 2);
-                Some(0)
-            }),
-            Pushed::Shed(1)
-        );
-        // An out-of-bounds victim index degrades to shedding the incoming.
-        assert_eq!(q.push_bounded(5, |_, _| Some(99)), Pushed::Shed(5));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(4));
-        q.close();
-        assert_eq!(q.push_bounded(6, |_, _| None), Pushed::Closed(6));
-    }
-
-    #[test]
-    fn unbounded_push_bounded_never_sheds() {
-        let q: WorkQueue<u32> = WorkQueue::new();
-        for i in 0..100 {
-            assert_eq!(q.push_bounded(i, |_, _| Some(0)), Pushed::Queued);
-        }
-        assert_eq!(q.len(), 100);
-    }
-
-    #[test]
-    fn queue_survives_a_poisoned_lock() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new());
-        q.push(1);
-        let poisoner = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let _guard = lock_recover(&q.inner);
-                panic!("poison the queue lock");
-            })
-        };
-        assert!(poisoner.join().is_err());
-        assert!(q.push(2), "push works through the poisoned lock");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        q.close();
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn concurrent_producers_and_consumers_deliver_everything() {
-        let q = Arc::new(WorkQueue::new());
-        let producers = 4;
-        let per_producer = 500;
-        let consumers = 3;
-
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per_producer {
-                    assert!(q.push(p * per_producer + i));
-                }
-            }));
-        }
-        let mut consumers_h = Vec::new();
-        for _ in 0..consumers {
-            let q = Arc::clone(&q);
-            consumers_h.push(std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(v) = q.pop() {
-                    got.push(v);
-                }
-                got
-            }));
-        }
-        for h in handles {
-            h.join().expect("producer");
-        }
-        q.close();
-        let mut all: Vec<usize> = consumers_h
-            .into_iter()
-            .flat_map(|h| h.join().expect("consumer"))
-            .collect();
-        all.sort_unstable();
-        let expect: Vec<usize> = (0..producers * per_producer).collect();
-        assert_eq!(all, expect);
-    }
-
-    // ---- ShardedWorkQueue ----
-
-    #[test]
     fn one_shard_is_exact_fifo_and_drains_after_close() {
         let q: ShardedWorkQueue<u32> = ShardedWorkQueue::new(1);
         let mut rng = 7;
@@ -706,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pop_timeout_expires_without_items() {
+    fn sharded_pop_timeout_times_out_then_delivers_then_closes() {
         let q: ShardedWorkQueue<u32> = ShardedWorkQueue::new(3);
         let mut rng = 0;
         let start = Instant::now();
@@ -717,6 +391,16 @@ mod tests {
             q.pop_timeout(1, &mut rng, Some(Duration::ZERO)),
             Popped::TimedOut,
             "zero timeout polls without blocking"
+        );
+        q.push(9);
+        assert_eq!(
+            q.pop_timeout(1, &mut rng, Some(Duration::from_millis(1))),
+            Popped::Item(9)
+        );
+        q.close();
+        assert_eq!(
+            q.pop_timeout(1, &mut rng, Some(Duration::from_millis(1))),
+            Popped::Closed
         );
     }
 
@@ -771,6 +455,15 @@ mod tests {
         let mut left: Vec<u32> = std::iter::from_fn(|| q.pop(0, &mut rng)).collect();
         left.sort_unstable();
         assert_eq!(left, vec![10, 12, 14], "victim gone, replacement present");
+    }
+
+    #[test]
+    fn unbounded_push_bounded_never_sheds() {
+        let q: ShardedWorkQueue<u32> = ShardedWorkQueue::new(3);
+        for i in 0..100 {
+            assert_eq!(q.push_bounded(i, |_, _| Some(0)), Pushed::Queued);
+        }
+        assert_eq!(q.len(), 100);
     }
 
     #[test]

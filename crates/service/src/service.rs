@@ -2,8 +2,8 @@
 //! shares one predictor, one catalog, one sample set, and one fit cache.
 //!
 //! ```text
-//!  clients ──submit──▶ WorkQueue ──pop──▶ worker 0..N
-//!                                          │  predict_with_cache(plan)
+//!  clients ──submit──▶ ShardedWorkQueue ──pop/steal──▶ worker 0..N
+//!                                          │  predict_with_caches(plan)
 //!                                          │  policy.decide(prediction)
 //!                                          ▼
 //!                            mpsc reply channel per request
@@ -108,10 +108,10 @@ pub enum ServedTier {
     /// The full uncertainty pipeline ran (possibly cache-accelerated):
     /// the response carries the real `N(E[t_q], Var[t_q])`.
     Full,
-    /// The pipeline failed or was over budget, but the
-    /// selectivity-estimate cache held this exact query instance: the
-    /// cached estimates were re-fed through fitting + variance algebra,
-    /// producing a distribution bit-identical to a healthy sel-cache hit.
+    /// The pipeline failed, but the selectivity-estimate cache held this
+    /// exact query instance: the cached estimates were re-fed through
+    /// fitting + variance algebra, producing a distribution bit-identical
+    /// to a healthy sel-cache hit.
     CachedEstimates,
     /// Only the shape profile's last observed mean was available: the
     /// prediction is a point mass at that mean (zero variance), so
@@ -271,12 +271,6 @@ pub struct ServiceConfig {
     pub queue_capacity: Option<usize>,
     /// Victim selection for a full queue; see [`ShedPolicy`].
     pub shed: ShedPolicy,
-    /// Per-request compute budget for the degradation ladder: when the
-    /// full pipeline's last observed cost for this plan shape exceeds the
-    /// budget (or the attempt itself has already overrun it), the ladder
-    /// skips to cheaper tiers instead of spending further. `None` (the
-    /// default) never degrades on time, only on failure.
-    pub compute_budget: Option<Duration>,
     /// When true, every served request runs under a
     /// [`uaq_telemetry::span::SpanRecorder`]: the response carries
     /// [`PredictResponse::stage_timings`] and the per-stage histograms
@@ -298,7 +292,6 @@ impl Default for ServiceConfig {
             retry: RetryPolicy::default(),
             queue_capacity: None,
             shed: ShedPolicy::default(),
-            compute_budget: None,
             record_spans: false,
         }
     }
@@ -398,9 +391,6 @@ impl RobustnessCounters {
 struct ShapeProfile {
     mean_ms: f64,
     var_ms2: f64,
-    /// Wall-clock cost of producing that prediction, for the ladder's
-    /// compute-budget preflight.
-    predict_cost_ms: f64,
 }
 
 /// Entries the shape-profile map holds at most (bounds memory under
@@ -461,7 +451,6 @@ struct Shared {
     retry: RetryPolicy,
     deferred: Mutex<VecDeque<DeferredJob>>,
     shed: ShedPolicy,
-    compute_budget: Option<Duration>,
     /// Last real prediction per plan shape; see [`ShapeProfile`].
     profile: Mutex<HashMap<u64, ShapeProfile>>,
     robustness: RobustnessCounters,
@@ -553,12 +542,11 @@ impl Shared {
     /// only when the sample pass actually ran (a warm sel-cache hit
     /// changes nothing the profile holds), keeping the repeated-query hot
     /// path free of this lock.
-    fn record_profile(&self, plan: &Plan, prediction: &Prediction, predict_cost_ms: f64) {
+    fn record_profile(&self, plan: &Plan, prediction: &Prediction) {
         let mut profile = lock_recover(&self.profile);
         let entry = ShapeProfile {
             mean_ms: prediction.mean_ms(),
             var_ms2: prediction.var(),
-            predict_cost_ms,
         };
         let key = plan.shape_hash();
         if profile.contains_key(&key) || profile.len() < PROFILE_CAP {
@@ -695,28 +683,18 @@ impl PredictionService {
         config: ServiceConfig,
         injector: Arc<dyn FaultInjector>,
     ) -> Self {
-        let injector = injector.active().then_some(injector);
         let registry = Arc::new(Registry::new());
-        let (cache, sel_cache) = match &injector {
-            Some(inj) => (
-                SharedFitCache::with_injector(config.cache, Arc::clone(inj)),
-                SharedSelEstCache::with_injector(
-                    config.cache.max_sel_entries,
-                    config.cache.eviction,
-                    Arc::clone(inj),
-                ),
-            ),
-            None => (
-                SharedFitCache::new(config.cache),
-                SharedSelEstCache::sharded(
-                    config.cache.max_sel_entries,
-                    config.cache.eviction,
-                    config.cache.shards,
-                ),
-            ),
-        };
-        let cache = cache.instrumented(&registry);
-        let sel_cache = sel_cache.instrumented(&registry);
+        let cache = SharedFitCache::new(config.cache)
+            .with_injector(Arc::clone(&injector))
+            .instrumented(&registry);
+        let sel_cache = SharedSelEstCache::sharded(
+            config.cache.max_sel_entries,
+            config.cache.eviction,
+            config.cache.shards,
+        )
+        .with_injector(Arc::clone(&injector))
+        .instrumented(&registry);
+        let injector = injector.active().then_some(injector);
         let workers = config.workers.max(1);
         let queue_shards = if config.queue_shards == 0 {
             workers
@@ -740,7 +718,6 @@ impl PredictionService {
             retry: config.retry,
             deferred: Mutex::new(VecDeque::new()),
             shed: config.shed,
-            compute_budget: config.compute_budget,
             profile: Mutex::new(HashMap::new()),
             robustness: RobustnessCounters::registered(&registry),
             requests_total: registry.counter("uaq_requests_total", &[]),
@@ -879,6 +856,16 @@ impl PredictionService {
             ("uaq_cache_entries", "selest", stats.sel_entries as f64),
             ("uaq_cache_evictions", "fit", stats.shape_evictions as f64),
             ("uaq_cache_evictions", "selest", stats.sel_evictions as f64),
+            (
+                "uaq_cache_shards",
+                "fit",
+                self.shared.cache.shard_count() as f64,
+            ),
+            (
+                "uaq_cache_shards",
+                "selest",
+                self.shared.sel_cache.shard_count() as f64,
+            ),
         ];
         for (name, cache, value) in occupancy {
             r.gauge(name, &[("cache", cache)]).set(value);
@@ -1090,67 +1077,49 @@ fn supervised_serve(shared: &Shared, worker: usize, job: Job) -> bool {
 }
 
 /// Runs the degradation ladder for one request: each tier is attempted
-/// under its own `catch_unwind`, and a failing (or over-budget) tier
-/// falls through to the next cheaper one. Returns `None` only when even
-/// the shape profile is empty — the static tier, which needs no
-/// prediction.
+/// under its own `catch_unwind`, and a failing tier falls through to the
+/// next cheaper one. Returns `None` only when even the shape profile is
+/// empty — the static tier, which needs no prediction.
 fn ladder_predict(
     shared: &Shared,
     worker: usize,
     plan: &Arc<Plan>,
 ) -> (Option<Prediction>, ServedTier) {
-    let attempt_started = Instant::now();
-    let over_budget = |t: Instant| {
-        shared
-            .compute_budget
-            .is_some_and(|budget| t.elapsed() > budget)
-    };
     let (fit_cache, sel_cache): (&dyn FitCache, &dyn SelEstCache) = if shared.cache_enabled {
         (&shared.cache, &shared.sel_cache)
     } else {
         (&NoFitCache, &NoSelEstCache)
     };
 
-    // Tier 0 — the full pipeline. Preflight the compute budget against
-    // the shape profile's last observed cost: a shape known to blow the
-    // budget is not attempted at all.
-    let skip_full = shared.compute_budget.is_some_and(|budget| {
-        shared
-            .profile_for(plan.shape_hash())
-            .is_some_and(|p| p.predict_cost_ms > budget.as_secs_f64() * 1e3)
-    });
-    if !skip_full {
-        let full = catch_unwind(AssertUnwindSafe(|| {
-            shared.probe(FaultSite::Predict, worker);
-            shared.predictor.predict_with_caches(
-                &plan.clone(),
-                &shared.catalog,
-                &shared.samples,
-                fit_cache,
-                sel_cache,
-            )
-        }));
-        match full {
-            Ok(prediction) => {
-                // A fresh sample pass is new evidence for the profile (a
-                // warm sel-cache hit would only rewrite what it holds, so
-                // the repeated-query hot path skips the profile lock).
-                if prediction.sample_pass_ran {
-                    let cost_ms = attempt_started.elapsed().as_secs_f64() * 1e3;
-                    shared.record_profile(plan, &prediction, cost_ms);
-                }
-                return (Some(prediction), ServedTier::Full);
+    // Tier 0 — the full pipeline.
+    let full = catch_unwind(AssertUnwindSafe(|| {
+        shared.probe(FaultSite::Predict, worker);
+        shared.predictor.predict_with_caches(
+            &plan.clone(),
+            &shared.catalog,
+            &shared.samples,
+            fit_cache,
+            sel_cache,
+        )
+    }));
+    match full {
+        Ok(prediction) => {
+            // A fresh sample pass is new evidence for the profile (a
+            // warm sel-cache hit would only rewrite what it holds, so
+            // the repeated-query hot path skips the profile lock).
+            if prediction.sample_pass_ran {
+                shared.record_profile(plan, &prediction);
             }
-            Err(_) => {
-                shared.robustness.ladder_panics_caught.inc();
-            }
+            return (Some(prediction), ServedTier::Full);
+        }
+        Err(_) => {
+            shared.robustness.ladder_panics_caught.inc();
         }
     }
 
     // Tier 1 — cached estimates. No sample pass: only worth attempting
-    // when the sel cache might hold this exact instance, and skipped once
-    // the attempt is over budget (fitting is the expensive remainder).
-    if shared.cache_enabled && !over_budget(attempt_started) {
+    // when the sel cache might hold this exact instance.
+    if shared.cache_enabled {
         let cached = catch_unwind(AssertUnwindSafe(|| {
             let key = shared
                 .predictor
@@ -2137,33 +2106,6 @@ mod tests {
                 "missing total histogram for tier {tier}"
             );
         }
-        service.shutdown();
-    }
-
-    #[test]
-    fn compute_budget_preflight_skips_a_shape_known_to_blow_it() {
-        let (predictor, catalog, samples, plan) = setup();
-        let service = PredictionService::start(
-            predictor,
-            catalog,
-            samples,
-            ServiceConfig {
-                cache_enabled: false,
-                // Any real prediction costs more than a nanosecond, so
-                // the profile's recorded cost vetoes tier 0 on repeat.
-                compute_budget: Some(std::time::Duration::from_nanos(1)),
-                ..Default::default()
-            },
-        );
-        let first = service.predict_blocking(Arc::clone(&plan), None);
-        assert_eq!(first.tier, ServedTier::Full, "no profile yet: must try");
-        let second = service.predict_blocking(Arc::clone(&plan), None);
-        assert_eq!(
-            second.tier,
-            ServedTier::MeanOnly,
-            "profiled cost over budget: straight to the cheap tier"
-        );
-        assert_eq!(second.prediction.mean_ms(), first.prediction.mean_ms());
         service.shutdown();
     }
 

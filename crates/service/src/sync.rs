@@ -48,41 +48,6 @@ pub(crate) fn lock_recover_with<'a, T>(
     }
 }
 
-/// An `ArcSwap`-style published snapshot built from std only: readers
-/// clone an `Arc` out from under a mutex (a refcount bump — never blocked
-/// on a writer holding the slot, because `store` holds the lock only for
-/// the pointer swap), writers build the new immutable value off to the
-/// side and swap it in whole.
-///
-/// This is the warm-path publication primitive for the sharded caches:
-/// the mutable `EvictingMap` stays behind its shard mutex, and a read-only
-/// snapshot of the hot entries is published here so a warm `predict`
-/// touches no contended lock. Snapshots may lag the map (a just-inserted
-/// entry appears only after the next publish); that is correct because
-/// cache entries are bit-transparent — a stale snapshot can only miss,
-/// never serve a wrong value.
-pub(crate) struct Published<T> {
-    slot: Mutex<std::sync::Arc<T>>,
-}
-
-impl<T> Published<T> {
-    pub(crate) fn new(initial: T) -> Self {
-        Self {
-            slot: Mutex::new(std::sync::Arc::new(initial)),
-        }
-    }
-
-    /// Returns the current snapshot (a refcount bump).
-    pub(crate) fn load(&self) -> std::sync::Arc<T> {
-        std::sync::Arc::clone(&lock_recover(&self.slot))
-    }
-
-    /// Atomically replaces the snapshot.
-    pub(crate) fn store(&self, value: std::sync::Arc<T>) {
-        *lock_recover(&self.slot) = value;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +91,5 @@ mod tests {
             panic!("on_poison must not run on a healthy lock")
         });
         assert_eq!(recoveries.get(), 1);
-    }
-
-    #[test]
-    fn published_snapshots_swap_whole_and_old_readers_keep_theirs() {
-        let p = Published::new(vec![1, 2]);
-        let before = p.load();
-        p.store(std::sync::Arc::new(vec![3]));
-        assert_eq!(*before, vec![1, 2], "old readers keep their snapshot");
-        assert_eq!(*p.load(), vec![3], "new readers see the swap");
     }
 }

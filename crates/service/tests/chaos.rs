@@ -310,6 +310,13 @@ fn sharded_config_preserves_every_chaos_invariant() {
             );
         }
         let snap = service.telemetry();
+        for cache in ["fit", "selest"] {
+            assert_eq!(
+                snap.gauge("uaq_cache_shards", &[("cache", cache)]),
+                Some(4.0),
+                "the {cache} cache must run the configured shard count under an injector"
+            );
+        }
         assert_eq!(
             snap.counter_total("uaq_requests_served_total"),
             n,
@@ -324,7 +331,7 @@ fn sharded_config_preserves_every_chaos_invariant() {
             "seed {seed}: per-tenant shed series must sum to total sheds"
         );
         total_shed += shed;
-        // Recovery: the sharded warm path is bit-transparent too.
+        // Recovery: the sharded caches are bit-transparent too.
         injector.disarm();
         for (i, plan) in plans.iter().enumerate() {
             let reference = predictor.predict(plan, &catalog, &samples);

@@ -155,9 +155,9 @@ fn concurrent_clients_get_deterministic_decisions() {
 }
 
 /// PR 8 golden differential: the sharded configuration (work-stealing
-/// queue shards, sharded caches, warm snapshots) must serve bit-identical
-/// predictions and decisions to the unsharded baseline on both the cold
-/// and the warm pass, across MICRO, SELJOIN, and TPCH shapes.
+/// queue shards, sharded caches) must serve bit-identical predictions and
+/// decisions to the unsharded baseline on both the cold and the warm pass,
+/// across MICRO, SELJOIN, and TPCH shapes.
 #[test]
 fn sharded_and_unsharded_serving_are_bit_identical() {
     let (predictor, catalog, samples, mut plans) = setup();
@@ -184,8 +184,7 @@ fn sharded_and_unsharded_serving_are_bit_identical() {
                 ..Default::default()
             },
         );
-        // Two passes: the first is all cache misses, the second is the
-        // snapshot-served warm path.
+        // Two passes: the first is all cache misses, the second all hits.
         let mut out: Vec<(Decision, u64, u64, u64)> = Vec::new();
         for _pass in 0..2 {
             for p in &plans {

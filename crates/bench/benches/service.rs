@@ -17,12 +17,11 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::sync::Arc;
 use std::time::Duration;
 use uaq_core::{Predictor, PredictorConfig};
-use uaq_cost::{calibrate, CalibrationConfig, HardwareProfile};
+use uaq_cost::{calibrate, CalibrationConfig, HardwareProfile, NoSelEstCache};
 use uaq_datagen::GenConfig;
 use uaq_engine::{plan_query, JoinStep, Plan, Pred, QuerySpec, TableRef};
 use uaq_service::{
-    PredictRequest, PredictionService, RetryPolicy, ServiceConfig, SharedFitCache,
-    SharedSelEstCache, TenantId,
+    PredictRequest, PredictionService, ServiceConfig, SharedFitCache, SharedSelEstCache, TenantId,
 };
 use uaq_stats::Rng;
 use uaq_storage::{Catalog, SampleCatalog, Value};
@@ -108,10 +107,15 @@ fn bench_cache(c: &mut Criterion) {
             // removes.
             let cache = SharedFitCache::default();
             s.predictor
-                .predict_with_cache(plan, &s.catalog, &s.samples, &cache);
+                .predict_with_caches(plan, &s.catalog, &s.samples, &cache, &NoSelEstCache);
             b.iter(|| {
-                s.predictor
-                    .predict_with_cache(plan, &s.catalog, &s.samples, &cache)
+                s.predictor.predict_with_caches(
+                    plan,
+                    &s.catalog,
+                    &s.samples,
+                    &cache,
+                    &NoSelEstCache,
+                )
             })
         });
         group.bench_function(BenchmarkId::new("predict_warm_selest", name), |b| {
@@ -174,77 +178,6 @@ fn bench_throughput(c: &mut Criterion) {
                 let responses: Vec<_> = receivers
                     .into_iter()
                     .map(|rx| rx.recv().expect("response"))
-                    .collect();
-                responses.len()
-            })
-        });
-        service.shutdown();
-    }
-    group.finish();
-}
-
-/// The retry path: a 64-request batch in which every other request's
-/// deadline sits in the defer band, under the terminal policy (Defer is a
-/// response) vs a bounded retry policy (deferred requests park and are
-/// re-decided on the completion events the admitted half generates, then
-/// finally rejected). Measures the full extra cost of the deferred queue —
-/// parking, per-completion re-decisions, final verdicts — on top of the
-/// same prediction work.
-fn bench_retry(c: &mut Criterion) {
-    let s = setup();
-    let mut group = c.benchmark_group("service");
-    group
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(15);
-    // Border deadlines from warm reference predictions: Pr(T ≤ d) lands in
-    // the defer band [θ/2, θ).
-    let border = |plan: &Arc<Plan>| {
-        let p = s.predictor.predict(plan, &s.catalog, &s.samples);
-        p.mean_ms() + 0.5 * p.std_dev_ms()
-    };
-    let border_scan = border(&s.scan);
-    let border_join = border(&s.join3);
-    for (name, retry) in [
-        ("terminal", RetryPolicy::terminal()),
-        ("bounded3", RetryPolicy::bounded(3)),
-    ] {
-        let service = PredictionService::start(
-            s.predictor.clone(),
-            Arc::clone(&s.catalog),
-            Arc::clone(&s.samples),
-            ServiceConfig {
-                workers: 2,
-                retry,
-                ..Default::default()
-            },
-        );
-        group.bench_function(BenchmarkId::new("retry_batch64", name), |b| {
-            b.iter(|| {
-                let receivers: Vec<_> = (0..64)
-                    .map(|i| {
-                        // The first half carries border deadlines (deferred
-                        // under bounded retry), the second half generous
-                        // ones: each generous completion is the event that
-                        // re-decides the parked half, so the bench measures
-                        // the event-driven retry path, not the idle tick.
-                        let (plan, border_ms) = if i % 2 == 0 {
-                            (&s.scan, border_scan)
-                        } else {
-                            (&s.join3, border_join)
-                        };
-                        let deadline = if i < 32 { border_ms } else { 1e6 };
-                        service.submit(PredictRequest {
-                            id: i as u64,
-                            plan: Arc::clone(plan),
-                            deadline_ms: Some(deadline),
-                            tenant: TenantId::default(),
-                        })
-                    })
-                    .collect();
-                let responses: Vec<_> = receivers
-                    .into_iter()
-                    .map(|rx| rx.recv().expect("every request gets a verdict"))
                     .collect();
                 responses.len()
             })
@@ -325,11 +258,5 @@ fn bench_shard_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_cache,
-    bench_throughput,
-    bench_retry,
-    bench_shard_scaling
-);
+criterion_group!(benches, bench_cache, bench_throughput, bench_shard_scaling);
 criterion_main!(benches);

@@ -40,7 +40,7 @@ pub struct PredictorConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VarianceBreakdown {
     /// `Σ_c σ_c² (Σ_i E[f_ic])²` — cost-unit fluctuation against the mean
-    /// workload (the dominant term; dropping it is "No Var[c]").
+    /// workload (the dominant term; dropping it is "No Var\[c\]").
     pub unit_variance: f64,
     /// `Σ_{c,c'} μ_c μ_c' Σ_i Cov(f_ic, f_ic')` — same-operator selectivity
     /// uncertainty (exact moment algebra).
@@ -78,7 +78,7 @@ pub struct Prediction {
 }
 
 impl Prediction {
-    /// Point estimate `E[t_q]` in milliseconds (what [48] would report).
+    /// Point estimate `E[t_q]` in milliseconds (what \[48\] would report).
     pub fn mean_ms(&self) -> f64 {
         self.distribution.mean()
     }
@@ -171,30 +171,21 @@ impl Predictor {
 
     /// Predicts the running-time distribution of `plan` (Algorithm 2).
     pub fn predict(&self, plan: &Plan, catalog: &Catalog, samples: &SampleCatalog) -> Prediction {
-        self.predict_with_cache(plan, catalog, samples, &NoFitCache)
+        self.predict_with_caches(plan, catalog, samples, &NoFitCache, &NoSelEstCache)
     }
 
-    /// [`Predictor::predict`] with a fit cache threaded through the fitting
-    /// stage (step 3). With [`NoFitCache`] this is byte-for-byte the
-    /// original pipeline; with a real cache, same-shape plans reuse the
-    /// per-node cost contexts and — when the selectivity distributions
-    /// match bit-exactly (e.g. a repeated identical query) — the fitted
-    /// cost functions themselves, skipping the oracle-probe grid fits that
-    /// dominate short plans. Cached fits are keyed on everything they
-    /// depend on ([`FitSignature`]), so cached and uncached predictions are
-    /// bit-identical.
-    pub fn predict_with_cache(
-        &self,
-        plan: &Plan,
-        catalog: &Catalog,
-        samples: &SampleCatalog,
-        cache: &dyn FitCache,
-    ) -> Prediction {
-        self.predict_with_caches(plan, catalog, samples, cache, &NoSelEstCache)
-    }
-
-    /// The full serving pipeline: [`Predictor::predict_with_cache`] with a
-    /// **selectivity-estimate cache** in front of the fit cache. On a hit —
+    /// The full serving pipeline: [`Predictor::predict`] with a cache in
+    /// front of each expensive stage. With [`NoFitCache`] and
+    /// [`NoSelEstCache`] this is byte-for-byte the original pipeline.
+    ///
+    /// The **fit cache** is threaded through the fitting stage (step 3):
+    /// same-shape plans reuse the per-node cost contexts and — when the
+    /// selectivity distributions match bit-exactly (e.g. a repeated
+    /// identical query) — the fitted cost functions themselves, skipping
+    /// the oracle-probe grid fits that dominate short plans. Cached fits
+    /// are keyed on everything they depend on ([`FitSignature`]).
+    ///
+    /// The **selectivity-estimate cache** sits in front of it. On a hit —
     /// same plan shape, same predicate literals, same catalog, same sample
     /// set, same aggregate-cardinality source — steps 1–2 (the sample pass
     /// and Algorithm 1) are skipped entirely and the cached
@@ -216,23 +207,18 @@ impl Predictor {
         // is mixed in so one cache instance can never serve entries built
         // against a different database (same-shape plans over different
         // catalogs differ in cardinalities, pages, and key densities).
-        let shape = if fit_cache.enabled() || sel_cache.enabled() {
-            Some(Self::shape_key(plan, catalog))
-        } else {
-            None
-        };
+        // Each enabled cache travels with it from here on.
+        let (fit_on, sel_on) = (fit_cache.enabled(), sel_cache.enabled());
+        let shape = (fit_on || sel_on).then(|| Self::shape_key(plan, catalog));
+        let sel_cache = shape.as_deref().filter(|_| sel_on).map(|s| (sel_cache, s));
+        let fit_cache = shape.as_deref().filter(|_| fit_on).map(|s| (fit_cache, s));
 
         // 1.+2. One provenance-tracked pass over the sample tables plus the
         //       selectivity distributions per operator (Algorithm 1) —
         //       unless the estimate cache already holds this exact query
         //       instance over this exact sample set.
-        let (raw_estimates, sample_pass_ran) = if sel_cache.enabled() {
-            let key = Self::sel_key_for_shape(
-                shape.as_deref().expect("shape computed when a cache is on"),
-                plan,
-                samples,
-                self.config.agg_source,
-            );
+        let (raw_estimates, sample_pass_ran) = if let Some((sel_cache, shape)) = sel_cache {
+            let key = Self::sel_key_for_shape(shape, plan, samples, self.config.agg_source);
             match span::timed(Stage::SelCacheProbe, || sel_cache.get(&key)) {
                 Some(estimates) => (estimates, false),
                 None => {
@@ -249,14 +235,7 @@ impl Predictor {
             });
             (estimates, true)
         };
-        self.finish_prediction(
-            plan,
-            catalog,
-            raw_estimates,
-            sample_pass_ran,
-            fit_cache,
-            shape.as_deref(),
-        )
+        self.finish_prediction(plan, catalog, raw_estimates, sample_pass_ran, fit_cache)
     }
 
     /// Completes a prediction from already-obtained selectivity estimates
@@ -276,7 +255,8 @@ impl Predictor {
         fit_cache: &dyn FitCache,
     ) -> Prediction {
         let shape = fit_cache.enabled().then(|| Self::shape_key(plan, catalog));
-        self.finish_prediction(plan, catalog, estimates, false, fit_cache, shape.as_deref())
+        let fit_cache = shape.as_deref().map(|s| (fit_cache, s));
+        self.finish_prediction(plan, catalog, estimates, false, fit_cache)
     }
 
     /// The cache key under which [`Self::predict_with_caches`] stores this
@@ -331,14 +311,15 @@ impl Predictor {
     /// Steps 3–4 of the pipeline, shared verbatim by every entry point so
     /// cached, uncached, and degraded-tier predictions run the identical
     /// floating-point operation sequence (the bit-identity guarantee).
+    /// `fit_cache` is the *enabled* fit cache together with the shape key
+    /// it is probed under, or `None` to fit from scratch.
     fn finish_prediction(
         &self,
         plan: &Plan,
         catalog: &Catalog,
         raw_estimates: SelEstimates,
         sample_pass_ran: bool,
-        fit_cache: &dyn FitCache,
-        shape: Option<&str>,
+        fit_cache: Option<(&dyn FitCache, &str)>,
     ) -> Prediction {
         // The "No Var[X]" ablation zeroes a deep copy: cached raw estimates
         // are shared with other predictions and must stay untouched.
@@ -354,8 +335,7 @@ impl Predictor {
         //    consulting the fit cache at both levels (contexts, fits).
         //    Span attribution: cache traffic → FitCacheProbe, the context
         //    build + grid fits + variance algebra → Fit.
-        let fits = if fit_cache.enabled() {
-            let shape = shape.expect("shape computed when a cache is on");
+        let fits = if let Some((fit_cache, shape)) = fit_cache {
             let sig = FitSignature::new(self.config.fit.grid_w, &dists);
             match span::timed(Stage::FitCacheProbe, || fit_cache.get_fits(shape, &sig)) {
                 Some(fits) => fits,
@@ -772,7 +752,7 @@ mod tests {
         };
         let samples = c.draw_samples(0.05, 1, &mut Rng::new(69));
         let cache = Recording::default();
-        let zero = with_grid(0).predict_with_cache(&plan, &c, &samples, &cache);
+        let zero = with_grid(0).predict_with_caches(&plan, &c, &samples, &cache, &NoSelEstCache);
         let one = with_grid(1).predict(&plan, &c, &samples);
         assert!(zero.var() > 0.0);
         assert_eq!(zero.mean_ms().to_bits(), one.mean_ms().to_bits());

@@ -1,10 +1,10 @@
-//! Cost-unit calibration (§3.1, extending the framework of [48]).
+//! Cost-unit calibration (§3.1, extending the framework of \[48\]).
 //!
 //! Five dedicated calibration query shapes isolate the units one at a time
 //! (Example 3: `SELECT * FROM R` on a memory-resident table exposes `c_t`).
 //! Each query is "run" on the simulated hardware several times over several
 //! table sizes; inverting the known count equation per run yields i.i.d.
-//! samples of the unit, and — this paper's extension over [48] — we keep the
+//! samples of the unit, and — this paper's extension over \[48\] — we keep the
 //! sample *variance*, not just the mean, giving `c ~ N(μ̂, σ̂²)`.
 
 use crate::profile::HardwareProfile;
@@ -42,7 +42,7 @@ fn observe(profile: &HardwareProfile, counts: &UnitCounts, rng: &mut Rng) -> f64
 }
 
 /// Calibrates all five units against a hardware profile, in the dependency
-/// order of [48]: `c_t` first, then units whose queries also exercise
+/// order of \[48\]: `c_t` first, then units whose queries also exercise
 /// already-calibrated ones (their means are subtracted out).
 pub fn calibrate(
     profile: &HardwareProfile,

@@ -1,7 +1,7 @@
 //! The data generator itself.
 //!
 //! Mirrors TPC-H `dbgen` cardinality ratios (scaled by `sf`) and, like the
-//! skewed TPC-H generator the paper uses [4], draws column values and foreign
+//! skewed TPC-H generator the paper uses \[4\], draws column values and foreign
 //! keys from a Zipf distribution with exponent `z` (`z = 0` ⇒ uniform,
 //! `z = 1` ⇒ the paper's skewed databases).
 

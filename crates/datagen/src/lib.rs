@@ -1,7 +1,7 @@
 //! # uaq-datagen
 //!
 //! TPC-H-like database generator standing in for dbgen and the skewed TPC-H
-//! generator ([4] in the paper): eight relations with dbgen cardinality
+//! generator (\[4\] in the paper): eight relations with dbgen cardinality
 //! ratios, Zipf(z) value/foreign-key skew, deterministic by seed.
 
 pub mod gen;

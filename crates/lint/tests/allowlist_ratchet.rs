@@ -6,13 +6,14 @@
 
 use uaq_lint::allowlist::Allowlist;
 
-/// 44 entries excusing 443 audited sites (48 / 565 at PR 10, which
+/// 43 entries excusing 441 audited sites (48 / 565 at PR 10, which
 /// introduced the linter; PR 13 took the row-at-a-time reference executor
 /// out of the library and routed every float ordering through one helper;
-/// PR 14 moved the NNLS solver onto fixed-size storage walked by iterators).
+/// PR 14 moved the NNLS solver onto fixed-size storage walked by iterators;
+/// PR 16 made an enabled cache travel with its shape key in `predictor.rs`).
 /// Lower either number when you remove sites.
-const MAX_ENTRIES: usize = 44;
-const MAX_TOTAL_BUDGET: usize = 443;
+const MAX_ENTRIES: usize = 43;
+const MAX_TOTAL_BUDGET: usize = 441;
 
 fn load() -> Allowlist {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint-allowlist.txt");

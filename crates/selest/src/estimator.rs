@@ -29,7 +29,7 @@ pub enum AggCardinalitySource {
     #[default]
     Optimizer,
     /// The GEE sampling-based distinct-value estimator (the paper's §3.2.2
-    /// "we are working to incorporate ... the GEE estimator [11]").
+    /// "we are working to incorporate ... the GEE estimator \[11\]").
     Gee,
 }
 

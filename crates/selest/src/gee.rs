@@ -3,7 +3,7 @@
 //! PODS 2000) — the estimator the paper names as the way to extend
 //! sampling-based selectivity estimation to aggregates ("we are working to
 //! incorporate sampling-based estimators for aggregates (e.g., the GEE
-//! estimator [11]) into our current framework", §3.2.2).
+//! estimator \[11\]) into our current framework", §3.2.2).
 //!
 //! GEE estimates the number of distinct values `D` of a column from a
 //! uniform sample of `n` of `N` rows:

@@ -57,7 +57,7 @@ impl SelEstimates {
     }
 
     /// A copy with every variance component zeroed (the predictor's
-    /// "No Var[X]" ablation). Deep-copies the vector: the ablation must not
+    /// "No Var\[X\]" ablation). Deep-copies the vector: the ablation must not
     /// contaminate a cached value other predictions share.
     pub fn with_zero_variance(&self) -> Self {
         let mut estimates = (*self.estimates).clone();

@@ -35,7 +35,7 @@ impl Decision {
 /// How the deadline check consumes the prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionMode {
-    /// `E[T] ≤ budget` — what a point predictor (the paper's [48]) can do.
+    /// `E[T] ≤ budget` — what a point predictor (the paper's \[48\]) can do.
     MeanOnly,
     /// `Pr(T ≤ budget) ≥ θ` — the uncertainty-aware policy.
     TailProbability,

@@ -18,14 +18,11 @@
 //! bit-transparent: everything a cached value depends on is part of its
 //! key, so a hit returns exactly what a fresh computation would produce.
 //!
-//! Eviction is policy-driven. PR 2 shipped "reject new when full"
-//! ([`EvictionPolicy::RejectNew`]), which is right for stable template
-//! sets — the first-seen working set *is* the hot set — but starves bursty
-//! ad-hoc traffic: once full, new templates never get cached. The default
-//! is now [`EvictionPolicy::Segmented`] (SLRU): new entries churn through
-//! a probation segment and only entries hit at least twice earn a
-//! protected slot, so an ad-hoc scan cannot flush the recurring templates
-//! plain [`EvictionPolicy::Lru`] would sacrifice.
+//! Eviction is policy-driven. The default is
+//! [`EvictionPolicy::Segmented`] (SLRU): new entries churn through a
+//! probation segment and only entries hit at least twice earn a protected
+//! slot, so an ad-hoc scan cannot flush the recurring templates plain
+//! [`EvictionPolicy::Lru`] would sacrifice.
 
 use crate::fault::{Fault, FaultInjector, FaultSite};
 use crate::sync::lock_recover_with;
@@ -40,11 +37,6 @@ use uaq_telemetry::{Counter, Registry};
 /// What happens when a bounded cache is full and a new entry arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
-    /// PR 2's original policy: a full cache keeps serving what it already
-    /// holds and rejects new entries. Zero bookkeeping; right when the
-    /// first-seen working set is the hot set, pathological for bursty
-    /// ad-hoc traffic.
-    RejectNew,
     /// Evict the least-recently-used entry to admit the new one.
     Lru,
     /// Segmented LRU: new entries land in a probation segment; a hit
@@ -89,8 +81,8 @@ pub(crate) struct EvictingMap<K: Hash + Eq + Clone, V> {
     slots: Vec<Option<Slot<K, V>>>,
     /// Vacated slot indices, reused before the slab grows.
     free: Vec<usize>,
-    /// Recency queues: `[probation, protected]`. `RejectNew`/`Lru` only
-    /// use probation.
+    /// Recency queues: `[probation, protected]`. `Lru` only uses
+    /// probation.
     queues: [VecDeque<(u64, usize)>; 2],
     protected_len: usize,
     tick: u64,
@@ -171,17 +163,14 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
     }
 
     /// Inserts a new entry, evicting per policy when full. Returns false
-    /// when the entry was rejected (`RejectNew` at capacity, or capacity
-    /// zero). The key must not already be present.
+    /// when the entry was rejected (capacity zero). The key must not
+    /// already be present.
     pub fn try_insert(&mut self, key: K, value: V) -> bool {
         debug_assert!(!self.index.contains_key(&key), "insert of present key");
         if self.capacity == 0 {
             return false;
         }
         if self.index.len() >= self.capacity {
-            if self.policy == EvictionPolicy::RejectNew {
-                return false;
-            }
             self.evict_one();
             if self.index.len() >= self.capacity {
                 return false;
@@ -237,13 +226,8 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
     }
 
     /// Records a touch: bumps the slot stamp and pushes a fresh marker to
-    /// the slot's segment queue. No-op under `RejectNew`: it never evicts,
-    /// so recency is meaningless and it keeps its advertised zero
-    /// bookkeeping.
+    /// the slot's segment queue.
     fn stamp(&mut self, at: usize) {
-        if self.policy == EvictionPolicy::RejectNew {
-            return;
-        }
         self.tick += 1;
         let tick = self.tick;
         let slot = self.slot(at);
@@ -277,7 +261,6 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
 
     fn evict_one(&mut self) {
         let victim = match self.policy {
-            EvictionPolicy::RejectNew => None,
             EvictionPolicy::Lru => self.pop_valid(0),
             // Probation first; an all-protected cache falls back to the
             // protected LRU.
@@ -824,31 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_new_policy_is_still_selectable() {
-        // The PR 2 behavior, verbatim: a full cache rejects new entries
-        // but keeps serving (and touching) what it holds.
-        let cache = SharedFitCache::new(CacheConfig {
-            max_shapes: 1,
-            max_fits_per_shape: 1,
-            eviction: EvictionPolicy::RejectNew,
-            ..CacheConfig::default()
-        });
-        let fits = Arc::new(Vec::new());
-        cache.put_fits("s1", &sig(0.1), &fits);
-        cache.put_fits("s1", &sig(0.2), &fits); // over per-shape bound
-        cache.put_fits("s2", &sig(0.1), &fits); // over shape bound
-        assert!(cache.get_fits("s1", &sig(0.1)).is_some());
-        assert!(cache.get_fits("s1", &sig(0.2)).is_none());
-        assert!(cache.get_fits("s2", &sig(0.1)).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.shapes, 1);
-        assert_eq!(stats.shape_evictions, 0);
-        // Contexts for the held shape still land.
-        cache.put_contexts("s1", &Arc::new(Vec::new()));
-        assert!(cache.get_contexts("s1").is_some());
-    }
-
-    #[test]
     fn lru_evicts_least_recently_used_shape() {
         let cache = fit_cache(EvictionPolicy::Lru, 2);
         cache.put_contexts("a", &Arc::new(Vec::new()));
@@ -936,23 +894,6 @@ mod tests {
         );
         assert!(cache.get_contexts("hot2").is_some());
         assert_eq!(cache.stats().shapes, 5);
-    }
-
-    #[test]
-    fn reject_new_keeps_no_recency_markers() {
-        let mut m: EvictingMap<&'static str, u32> = EvictingMap::new(2, EvictionPolicy::RejectNew);
-        assert!(m.try_insert("a", 1));
-        assert!(m.try_insert("b", 2));
-        for _ in 0..100 {
-            m.get("a");
-            m.get("b");
-        }
-        assert!(
-            m.queues[0].is_empty() && m.queues[1].is_empty(),
-            "RejectNew advertises zero bookkeeping"
-        );
-        assert!(!m.try_insert("c", 3));
-        assert_eq!(m.evictions(), 0);
     }
 
     #[test]
@@ -1075,7 +1016,6 @@ mod tests {
             let (s, at) = self.find(key)?;
             let protected_cap = self.capacity * PROTECTED_NUM / PROTECTED_DEN;
             let target = match self.policy {
-                EvictionPolicy::RejectNew => return self.value(key),
                 EvictionPolicy::Lru => 0,
                 EvictionPolicy::Segmented if protected_cap == 0 => 0,
                 EvictionPolicy::Segmented => 1,
@@ -1098,9 +1038,6 @@ mod tests {
             }
             let mut victim = None;
             if self.segments[0].len() + self.segments[1].len() >= self.capacity {
-                if self.policy == EvictionPolicy::RejectNew {
-                    return (false, None);
-                }
                 let s = usize::from(self.segments[0].is_empty());
                 victim = Some(self.segments[s].remove(0).0);
                 self.evictions += 1;
@@ -1113,11 +1050,7 @@ mod tests {
     #[test]
     fn evicting_map_matches_a_naive_ordered_vec_model() {
         const UNIVERSE: u32 = 12;
-        let policies = [
-            EvictionPolicy::RejectNew,
-            EvictionPolicy::Lru,
-            EvictionPolicy::Segmented,
-        ];
+        let policies = [EvictionPolicy::Lru, EvictionPolicy::Segmented];
         for (p, policy) in policies.into_iter().enumerate() {
             for capacity in 0..=8usize {
                 let mut rng = uaq_stats::Rng::new(0xE71C ^ ((p as u64) << 8) ^ capacity as u64);

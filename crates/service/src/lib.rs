@@ -27,19 +27,16 @@
 //!   skips the oracle-probe grid fits entirely for bit-identical repeats.
 //! * [`AdmissionPolicy`] — `Pr(T ≤ budget) ≥ θ` tail-probability admission
 //!   (with a defer band), plus the mean-only baseline a point predictor
-//!   would be limited to. With a [`RetryPolicy`] enabled, a `Defer`
-//!   verdict is no longer terminal: the request parks in a deferred queue
-//!   and is re-decided on the same reply channel (recomputed budget) on
-//!   every completion event, with bounded retries before a final
-//!   `Reject` — no request is ever silently dropped. (The service's
-//!   budget only shrinks with wall-clock time, so today the final verdict
-//!   of a deferred request is `Reject`; defer→admit conversions happen in
-//!   the deadline *scenario*, whose queue-aware budget can grow at a
-//!   freed server — see the note in [`service`].)
+//!   would be limited to. All three verdicts — `Defer` included — are
+//!   terminal at the service: the prediction is computed once and the
+//!   quoted deadline only drains, so a service-side re-decision could only
+//!   turn a `Defer` into a later `Reject`. Re-deciding lives in the
+//!   scheduler, whose queue-aware budget can grow at a freed server
+//!   ([`AdmissionPolicy::decide_queued`]; see the note in [`service`]).
 //!
 //! Both caches are bounded with a pluggable [`EvictionPolicy`] (segmented
-//! LRU by default; PR 2's reject-new stays selectable) and sharded, each
-//! shard one bounded map behind one mutex. Responses are
+//! LRU by default) and sharded, each shard one bounded map behind one
+//! mutex. Responses are
 //! deterministic: predictions are pure functions of (plan, catalog,
 //! samples, config), and hits at either cache level are bit-identical to
 //! fresh computations by construction, so worker count, scheduling order,
@@ -83,8 +80,7 @@ pub use fault::{
     silence_injected_panics, Fault, FaultInjector, FaultPlan, FaultSite, NoFaults,
     SeededFaultInjector, INJECTED_PANIC,
 };
-pub use queue::{Popped, Pushed, ShardedWorkQueue};
+pub use queue::{Pushed, ShardedWorkQueue};
 pub use service::{
-    PredictRequest, PredictResponse, PredictionService, RetryPolicy, RobustnessStats, ServedTier,
-    ServiceConfig, ShedPolicy,
+    PredictRequest, PredictResponse, PredictionService, RobustnessStats, ServedTier, ServiceConfig,
 };

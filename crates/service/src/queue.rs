@@ -18,18 +18,6 @@ use crate::sync::lock_recover;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// Outcome of a [`ShardedWorkQueue::pop_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    /// The next queued item.
-    Item(T),
-    /// The timeout elapsed with the queue still open and empty.
-    TimedOut,
-    /// The queue is closed and drained: the consumer should exit.
-    Closed,
-}
 
 /// Outcome of a [`ShardedWorkQueue::push_bounded`] against a capacity-limited
 /// queue. The non-`Queued` variants hand the displaced item back to the
@@ -223,35 +211,12 @@ impl<T> ShardedWorkQueue<T> {
     }
 
     /// Blocks until an item is available or the queue is closed *and*
-    /// drained. `me` selects the consumer's home shard (taken modulo the
-    /// shard count) and `steal_rng` is the consumer's seeded steal-order
-    /// state (seed it once per consumer, e.g. with the consumer index).
+    /// drained (`None`: the consumer should exit) — so a pop on a closed
+    /// queue never blocks. `me` selects the consumer's home shard (taken
+    /// modulo the shard count) and `steal_rng` is the consumer's seeded
+    /// steal-order state (seed it once per consumer, e.g. with the
+    /// consumer index).
     pub fn pop(&self, me: usize, steal_rng: &mut u64) -> Option<T> {
-        match self.pop_timeout(me, steal_rng, None) {
-            Popped::Item(item) => Some(item),
-            Popped::Closed => None,
-            Popped::TimedOut => unreachable!("no timeout requested"),
-        }
-    }
-
-    /// Like [`Self::pop`], but with an optional wait bound: `None` blocks
-    /// indefinitely, `Some(d)` returns [`Popped::TimedOut`] once `d` has
-    /// elapsed with nothing to pop. The service's retry scheduler uses the
-    /// bounded form as its fallback tick so deferred requests are
-    /// re-decided even when no completion events occur.
-    ///
-    /// The bound is a *deadline*, not a per-wait budget: the deadline is
-    /// fixed once up front and each `wait_timeout` gets only the remaining
-    /// slice, so spurious wakeups cannot stretch the total wait beyond `d`
-    /// (re-waiting with the full original timeout after every wakeup
-    /// would).
-    pub fn pop_timeout(
-        &self,
-        me: usize,
-        steal_rng: &mut u64,
-        timeout: Option<Duration>,
-    ) -> Popped<T> {
-        let deadline = timeout.map(|d| Instant::now() + d);
         let n = self.shards.len();
         let home = me % n;
         loop {
@@ -259,56 +224,28 @@ impl<T> ShardedWorkQueue<T> {
             // the other shards, each visited exactly once in a randomly
             // rotated order.
             if let Some(item) = self.try_pop_shard(home) {
-                return Popped::Item(item);
+                return Some(item);
             }
             if n > 1 {
                 let start = (splitmix64(steal_rng) as usize) % (n - 1);
                 for k in 0..n - 1 {
                     let victim = (home + 1 + (start + k) % (n - 1)) % n;
                     if let Some(item) = self.try_pop_shard(victim) {
-                        return Popped::Item(item);
+                        return Some(item);
                     }
                 }
             }
             // Slow path: authoritative re-scan under the state lock, then
             // sleep. A push that this scan misses must acquire the state
             // lock to complete, so its notify lands after the wait starts.
-            let mut state = lock_recover(&self.state);
+            let state = lock_recover(&self.state);
             if let Some(item) = self.scan_all() {
-                return Popped::Item(item);
+                return Some(item);
             }
             if state.closed {
-                return Popped::Closed;
+                return None;
             }
-            match deadline {
-                None => {
-                    let guard = self.ready.wait(state).unwrap_or_else(|p| p.into_inner());
-                    drop(guard);
-                }
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Popped::TimedOut;
-                    }
-                    let (guard, result) = self
-                        .ready
-                        .wait_timeout(state, remaining)
-                        .unwrap_or_else(|p| p.into_inner());
-                    state = guard;
-                    if result.timed_out()
-                        && deadline.saturating_duration_since(Instant::now()).is_zero()
-                    {
-                        // One last authoritative look before reporting the
-                        // timeout (an item may have raced the wakeup).
-                        return match self.scan_all() {
-                            Some(item) => Popped::Item(item),
-                            None if state.closed => Popped::Closed,
-                            None => Popped::TimedOut,
-                        };
-                    }
-                    drop(state);
-                }
-            }
+            drop(self.ready.wait(state).unwrap_or_else(|p| p.into_inner()));
         }
     }
 
@@ -331,12 +268,6 @@ impl<T> ShardedWorkQueue<T> {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Test-only: wake every waiter without delivering anything.
-    #[cfg(test)]
-    pub(crate) fn notify_spuriously(&self) {
-        self.ready.notify_all();
     }
 }
 
@@ -380,53 +311,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pop_timeout_times_out_then_delivers_then_closes() {
+    fn sharded_pop_delivers_from_any_shard_then_reports_closed() {
         let q: ShardedWorkQueue<u32> = ShardedWorkQueue::new(3);
         let mut rng = 0;
-        let start = Instant::now();
-        let popped = q.pop_timeout(1, &mut rng, Some(Duration::from_millis(30)));
-        assert_eq!(popped, Popped::TimedOut);
-        assert!(start.elapsed() >= Duration::from_millis(30));
-        assert_eq!(
-            q.pop_timeout(1, &mut rng, Some(Duration::ZERO)),
-            Popped::TimedOut,
-            "zero timeout polls without blocking"
-        );
         q.push(9);
-        assert_eq!(
-            q.pop_timeout(1, &mut rng, Some(Duration::from_millis(1))),
-            Popped::Item(9)
-        );
+        assert_eq!(q.pop(1, &mut rng), Some(9));
         q.close();
-        assert_eq!(
-            q.pop_timeout(1, &mut rng, Some(Duration::from_millis(1))),
-            Popped::Closed
-        );
-    }
-
-    #[test]
-    fn sharded_deadline_holds_under_spurious_wakeups() {
-        let q: Arc<ShardedWorkQueue<u32>> = Arc::new(ShardedWorkQueue::new(2));
-        let waker = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let end = Instant::now() + Duration::from_millis(400);
-                while Instant::now() < end {
-                    q.notify_spuriously();
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        let mut rng = 3;
-        let start = Instant::now();
-        let popped = q.pop_timeout(0, &mut rng, Some(Duration::from_millis(50)));
-        let waited = start.elapsed();
-        waker.join().expect("waker");
-        assert_eq!(popped, Popped::TimedOut);
-        assert!(
-            waited < Duration::from_millis(300),
-            "deadline must hold under spurious wakeups; waited {waited:?}"
-        );
+        assert_eq!(q.pop(1, &mut rng), None, "closed and drained never blocks");
     }
 
     #[test]

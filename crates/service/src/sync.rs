@@ -8,7 +8,7 @@
 //!
 //! * the work queue's deque and closed flag are updated in single
 //!   statements (push/pop/assign) that cannot be observed half-done;
-//! * the deferred queue's entries are pushed/popped whole;
+//! * the shape profile's entries are inserted whole;
 //! * the caches are *bit-transparent* — every entry equals what a fresh
 //!   computation would produce — so the conservatively correct recovery is
 //!   to drop the contents and let the next miss recompute them.

@@ -102,6 +102,16 @@ fn two_hundred_seeded_schedules_never_lose_or_duplicate_a_response() {
     let mut total_respawned = 0u64;
     let mut total_degraded = 0u64;
     let mut total_panics = 0u64;
+    let mut total_deferred = 0u64;
+    // Defer-band deadlines, `mean + 0.5σ` of the in-thread reference:
+    // `Pr(T ≤ d) = Φ(0.5) ≈ 0.69`, inside the default [0.45, 0.9) band.
+    let borders: Vec<f64> = plans
+        .iter()
+        .map(|p| {
+            let r = predictor.predict(p, &catalog, &samples);
+            r.mean_ms() + 0.5 * r.std_dev_ms()
+        })
+        .collect();
     for seed in 0..200u64 {
         let injector = Arc::new(SeededFaultInjector::new(seed, FaultPlan::chaos()));
         let service = PredictionService::start_with_faults(
@@ -115,18 +125,23 @@ fn two_hundred_seeded_schedules_never_lose_or_duplicate_a_response() {
             Arc::clone(&injector) as Arc<dyn FaultInjector>,
         );
         // 12 requests over 4 plans, deadlines mixed (None / generous /
-        // already-blown) — every decision path under fire.
+        // already-blown / defer band; the class rotates against the plan
+        // so every plan meets three of the four) — every decision path
+        // under fire.
         let n = 12u64;
+        let plan_of = |i: u64| (i as usize) % plans.len();
+        let in_defer_band = |i: u64| (i + i / 4) % 4 == 3;
         let receivers: Vec<_> = (0..n)
             .map(|i| {
-                let deadline = match i % 3 {
+                let deadline = match (i + i / 4) % 4 {
                     0 => None,
                     1 => Some(1e6),
-                    _ => Some(-1.0),
+                    2 => Some(-1.0),
+                    _ => Some(borders[plan_of(i)]),
                 };
                 service.submit(PredictRequest {
                     id: seed * 1000 + i,
-                    plan: Arc::clone(&plans[(i as usize) % plans.len()]),
+                    plan: Arc::clone(&plans[plan_of(i)]),
                     deadline_ms: deadline,
                     tenant: TenantId::default(),
                 })
@@ -143,6 +158,20 @@ fn two_hundred_seeded_schedules_never_lose_or_duplicate_a_response() {
             );
             if resp.tier != ServedTier::Full {
                 total_degraded += 1;
+            }
+            // Defer is a terminal verdict, under faults too: whenever a
+            // real distribution was served against a defer-band deadline
+            // the one response says `Defer` (lower tiers have no band).
+            if in_defer_band(i as u64)
+                && matches!(resp.tier, ServedTier::Full | ServedTier::CachedEstimates)
+            {
+                assert_eq!(
+                    resp.decision,
+                    Decision::Defer,
+                    "seed {seed}: request {i} at tier {:?}",
+                    resp.tier
+                );
+                total_deferred += 1;
             }
         }
         let stats = service.robustness_stats();
@@ -170,6 +199,7 @@ fn two_hundred_seeded_schedules_never_lose_or_duplicate_a_response() {
     assert!(total_panics > 0, "some schedules must panic somewhere");
     assert!(total_respawned > 0, "some schedules must kill workers");
     assert!(total_degraded > 0, "some requests must serve degraded");
+    assert!(total_deferred > 0, "some requests must be deferred");
 }
 
 /// Bit-transparency survives recovery: after a chaos phase (poisoned

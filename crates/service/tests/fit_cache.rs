@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use uaq_core::{Prediction, Predictor, PredictorConfig};
-use uaq_cost::{calibrate, CalibrationConfig, FitCache, HardwareProfile};
+use uaq_cost::{calibrate, CalibrationConfig, FitCache, HardwareProfile, NoSelEstCache};
 use uaq_engine::{plan_query, Plan, PlanBuilder, Pred};
 use uaq_service::SharedFitCache;
 use uaq_stats::Rng;
@@ -79,8 +79,10 @@ fn cached_predictions_bit_identical_on_all_workloads() {
         for spec in &specs {
             let plan = plan_query(spec, &catalog);
             let reference = predictor.predict(&plan, &catalog, &samples);
-            let cold = predictor.predict_with_cache(&plan, &catalog, &samples, &cache);
-            let warm = predictor.predict_with_cache(&plan, &catalog, &samples, &cache);
+            let cold =
+                predictor.predict_with_caches(&plan, &catalog, &samples, &cache, &NoSelEstCache);
+            let warm =
+                predictor.predict_with_caches(&plan, &catalog, &samples, &cache, &NoSelEstCache);
             let label = format!("{}/{}", benchmark.label(), spec.name);
             assert_bit_identical(&reference, &cold, &format!("{label} cold"));
             assert_bit_identical(&reference, &warm, &format!("{label} warm"));
@@ -108,12 +110,12 @@ fn literal_perturbed_plans_share_contexts() {
     let p2 = plan_with_cut(2000);
     assert_eq!(p1.shape_signature(), p2.shape_signature());
 
-    predictor.predict_with_cache(&p1, &catalog, &samples, &cache);
+    predictor.predict_with_caches(&p1, &catalog, &samples, &cache, &NoSelEstCache);
     let stats1 = cache.stats();
     assert_eq!(stats1.context_misses, 1);
     assert_eq!(stats1.shapes, 1);
 
-    let cached = predictor.predict_with_cache(&p2, &catalog, &samples, &cache);
+    let cached = predictor.predict_with_caches(&p2, &catalog, &samples, &cache, &NoSelEstCache);
     let stats2 = cache.stats();
     assert_eq!(stats2.context_hits, 1, "{stats2:?}");
     assert_eq!(stats2.shapes, 1, "one shared shape entry");
@@ -165,8 +167,8 @@ proptest! {
             Arc::new(b.build(j))
         };
         let cache = SharedFitCache::default();
-        predictor.predict_with_cache(&join(cut_a), &catalog, &samples, &cache);
-        predictor.predict_with_cache(&join(cut_b), &catalog, &samples, &cache);
+        predictor.predict_with_caches(&join(cut_a), &catalog, &samples, &cache, &NoSelEstCache);
+        predictor.predict_with_caches(&join(cut_b), &catalog, &samples, &cache, &NoSelEstCache);
         let stats = cache.stats();
         prop_assert_eq!(stats.shapes, 1);
         // Second prediction reused the shape entry: a context hit, or —
@@ -236,8 +238,9 @@ fn distinct_catalogs_never_share_entries() {
     let plan = scan_plan("t", "b", 1000);
 
     let cache = SharedFitCache::default();
-    let on_big = predictor.predict_with_cache(&plan, &big, &samples_big, &cache);
-    let on_small = predictor.predict_with_cache(&plan, &small, &samples_small, &cache);
+    let on_big = predictor.predict_with_caches(&plan, &big, &samples_big, &cache, &NoSelEstCache);
+    let on_small =
+        predictor.predict_with_caches(&plan, &small, &samples_small, &cache, &NoSelEstCache);
     // Same plan shape, two catalogs: two separate cache entries…
     assert_eq!(cache.stats().shapes, 2, "{:?}", cache.stats());
     assert_eq!(cache.stats().context_hits, 0, "{:?}", cache.stats());
@@ -262,8 +265,8 @@ fn works_through_dyn_object() {
     let cache = SharedFitCache::default();
     let dyn_cache: &dyn FitCache = &cache;
     let plan = scan_plan("customer", "c_acctbal", 500);
-    let a = predictor.predict_with_cache(&plan, &catalog, &samples, dyn_cache);
-    let b = predictor.predict_with_cache(&plan, &catalog, &samples, dyn_cache);
+    let a = predictor.predict_with_caches(&plan, &catalog, &samples, dyn_cache, &NoSelEstCache);
+    let b = predictor.predict_with_caches(&plan, &catalog, &samples, dyn_cache, &NoSelEstCache);
     assert_bit_identical(&a, &b, "dyn");
     assert_eq!(cache.stats().fit_hits, 1);
 }

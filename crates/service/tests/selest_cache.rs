@@ -216,11 +216,7 @@ fn predictions_stay_bit_identical_across_eviction_and_refill() {
         .map(|p| predictor.predict(p, &catalog, &samples))
         .collect();
 
-    for policy in [
-        EvictionPolicy::Lru,
-        EvictionPolicy::Segmented,
-        EvictionPolicy::RejectNew,
-    ] {
+    for policy in [EvictionPolicy::Lru, EvictionPolicy::Segmented] {
         let fit_cache = SharedFitCache::new(CacheConfig {
             max_shapes: 1,
             max_fits_per_shape: 2,
@@ -230,7 +226,7 @@ fn predictions_stay_bit_identical_across_eviction_and_refill() {
         });
         let sel_cache = SharedSelEstCache::new(2, policy);
         // Three round-robin rounds over 6 instances against capacity 2:
-        // every round evicts and refills under Lru/Segmented.
+        // every round evicts and refills.
         for round in 0..3 {
             for (plan, reference) in plans.iter().zip(&references) {
                 let got =
@@ -239,13 +235,10 @@ fn predictions_stay_bit_identical_across_eviction_and_refill() {
             }
         }
         let sel = sel_cache.stats();
-        match policy {
-            EvictionPolicy::RejectNew => assert_eq!(sel.evictions, 0, "{sel:?}"),
-            _ => assert!(
-                sel.evictions > 0,
-                "cycling 6 instances through capacity 2 must evict: {sel:?}"
-            ),
-        }
+        assert!(
+            sel.evictions > 0,
+            "cycling 6 instances through capacity 2 must evict: {sel:?}"
+        );
         assert!(sel.entries <= 2);
     }
 }

@@ -10,8 +10,8 @@
 //! the predicted *distribution* the controller can admit on
 //! `Pr(T ≤ deadline) ≥ θ` instead — and, unlike a binary point check, it
 //! gets a middle verdict: queries in the defer band (`θ/2 ≤ Pr < θ`) are
-//! parked for a re-decision rather than dropped (see the retry queue in
-//! `uaq_service` / the `deadline_service` example).
+//! handed to the scheduler for a re-decision rather than dropped (see the
+//! simulator's retry queue in the `deadline_service` example).
 
 use uaq::prelude::*;
 use uaq::service::{AdmissionPolicy, Decision};
@@ -101,7 +101,7 @@ fn main() {
     );
     println!(
         "the defer band holds exactly the borderline queries a point \
-         estimate silently gambles on — the service retries them with a \
-         recomputed budget instead of dropping them"
+         estimate silently gambles on — a scheduler can retry them when a \
+         server frees up instead of dropping them"
     );
 }

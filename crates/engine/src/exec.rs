@@ -29,7 +29,11 @@
 //!   base column that emit logical row indices. A scan wraps the table's
 //!   columns in dense slices and calls it; the kernel sees the empty chain
 //!   and runs a plain pass. The surviving indices become one shared
-//!   selection layer over every column — no gather;
+//!   selection layer over every column — no gather. In sample mode a
+//!   batch that is still a row subset of one sample table selects through
+//!   [`crate::expr::BoundPred::filter_sample`]: a string predicate runs the
+//!   same loop over the codes of the table's shared dictionary
+//!   ([`uaq_storage::SampleTable::str_dict`]) instead of comparing strings;
 //! * **hash join** builds its hash table on borrowed keys (primitive `i64`
 //!   fast path, or a [`JoinKey`]-style borrowed view mirroring `Value`
 //!   equality) with row-index payloads — no row is cloned until the final
@@ -384,7 +388,8 @@ struct Batch<'a> {
     /// subset of, columns unchanged — a scan under any filters and
     /// materializes. `None` once a sort reorders the rows or a join
     /// combines two inputs. A hash join building on such a batch probes the
-    /// table's shared [`SampleTable::join_index`] instead of hashing it.
+    /// table's shared [`SampleTable::join_index`] instead of hashing it, and
+    /// a filter over it selects strings on [`SampleTable::str_dict`] codes.
     sample: Option<&'a SampleTable>,
 }
 
@@ -432,8 +437,9 @@ pub fn execute_full(plan: &Plan, catalog: &Catalog) -> ExecOutcome {
 /// (see [`NodeTrace`]); a plan with an aggregate therefore returns an empty
 /// root batch with an empty schema. Whatever does not depend on the plan's
 /// literals is not redone per call: hash joins probe the join-key indexes
-/// the sample tables own ([`SampleTable::join_index`], built on first use
-/// and shared by every caller holding the catalog).
+/// the sample tables own ([`SampleTable::join_index`]), and string
+/// predicates select on their dictionary codes ([`SampleTable::str_dict`]),
+/// both built on first use and shared by every caller holding the catalog.
 pub fn execute_on_samples(plan: &Plan, samples: &SampleCatalog) -> ExecOutcome {
     crate::validate::debug_check(plan, None, Some(samples));
     crate::fault::fire_sample_pass_hook();
@@ -634,7 +640,11 @@ impl<'a> Executor<'a> {
         // Dense slices over the table's columns (refcount bumps): the scan
         // filters through the same kernels as `filter`.
         let dense: Vec<ColumnSlice> = cols.iter().cloned().map(ColumnSlice::dense).collect();
-        let sel = predicate.bind(&schema).filter_slices(&dense, input_len);
+        let bound = predicate.bind(&schema);
+        let sel = match sample {
+            Some(sample) => bound.filter_sample(&dense, input_len, sample),
+            None => bound.filter_slices(&dense, input_len),
+        };
         let len = sel.len();
         let (out_cols, prov) = if len == input_len {
             // Nothing filtered: the table's columns pass through shared.
@@ -658,7 +668,10 @@ impl<'a> Executor<'a> {
     fn filter(&mut self, id: NodeId, child: Batch<'a>, predicate: &crate::expr::Pred) -> Batch<'a> {
         self.record_inputs(id, child.len, 0);
         let bound = predicate.bind(&child.schema);
-        let sel = bound.filter_slices(&child.cols, child.len);
+        let sel = match child.sample {
+            Some(sample) => bound.filter_sample(&child.cols, child.len, sample),
+            None => bound.filter_slices(&child.cols, child.len),
+        };
         if sel.len() == child.len {
             // Keep-everything filter: the child's column handles pass
             // through shared, no copy.

@@ -8,7 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use uaq_storage::{order_f64, ColumnData, ColumnSlice, Row, Schema, Value};
+use uaq_storage::{order_f64, ColumnData, ColumnSlice, Row, SampleTable, Schema, StrDict, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -453,7 +453,8 @@ impl BoundPred {
     /// empty selection chain) and filters. The common single-comparison
     /// shapes run as tight loops over the typed base column
     /// ([`select_slice`]); everything else falls back to row-at-a-time
-    /// [`Self::eval_slices`].
+    /// [`Self::eval_slices`]. Sample mode adds one arm in front of it,
+    /// [`Self::filter_sample`].
     pub fn filter_slices(&self, cols: &[ColumnSlice], len: usize) -> Vec<u32> {
         match self {
             BoundPred::True => (0..len as u32).collect(),
@@ -516,6 +517,119 @@ impl BoundPred {
             .filter(|&i| self.eval_slices(cols, i as usize))
             .collect()
     }
+
+    /// [`Self::filter_slices`] for a batch that is an order-preserving row
+    /// subset of `sample`, columns unchanged (sample mode: a scan, or a
+    /// filter over one). A `Cmp`, `Between` or `InList` leaf on a `Str`
+    /// column places its literal(s) among the column's distinct strings
+    /// once ([`SampleTable::str_dict`]) and runs the same `select_slice`
+    /// over the table's `u32` codes, through the column's selection chain,
+    /// instead of comparing strings row by row. `And` keeps
+    /// [`Self::filter_slices`]'s shape — first conjunct here, the rest
+    /// retained — and every other shape is [`Self::filter_slices`]
+    /// itself, so the selected rows are the same either way.
+    pub fn filter_sample(
+        &self,
+        cols: &[ColumnSlice],
+        len: usize,
+        sample: &SampleTable,
+    ) -> Vec<u32> {
+        match self {
+            BoundPred::And(ps) => match ps.split_first() {
+                Some((first, rest)) => {
+                    let mut sel = first.filter_sample(cols, len, sample);
+                    for p in rest {
+                        sel.retain(|&i| p.eval_slices(cols, i as usize));
+                    }
+                    sel
+                }
+                None => self.filter_slices(cols, len),
+            },
+            leaf => leaf
+                .select_coded(cols, sample)
+                .unwrap_or_else(|| leaf.filter_slices(cols, len)),
+        }
+    }
+
+    /// The coded selection of a leaf on a `Str` column of `sample`; `None`
+    /// when the leaf is not one (or the column is not the table's own),
+    /// and for an ordering against a non-`Str` literal, which is left to
+    /// the reference kernel and its panic.
+    fn select_coded(&self, cols: &[ColumnSlice], sample: &SampleTable) -> Option<Vec<u32>> {
+        let (BoundPred::Cmp { idx, .. }
+        | BoundPred::Between { idx, .. }
+        | BoundPred::InList { idx, .. }) = self
+        else {
+            return None;
+        };
+        let slice = cols.get(*idx)?;
+        let dict = sample.str_dict(*idx)?;
+        if !slice.base().ptr_eq(sample.table().columns().get(*idx)?) {
+            return None;
+        }
+        let v = dict.codes();
+        // Every shape but a longer `IN` list keeps one run of codes,
+        // `lo..hi`, or (`<>`) everything outside it; an absent literal's
+        // run is empty.
+        let ((lo, hi), inside) = match self {
+            BoundPred::Cmp { op, value, .. } => {
+                let codes = match (op, as_str(value)) {
+                    (_, Some(lit)) => dict.code_range(lit),
+                    // A `Str` cell never equals a number: like a string
+                    // no step holds.
+                    (CmpOp::Eq | CmpOp::Ne, None) => 0..0,
+                    (_, None) => return None,
+                };
+                match op {
+                    CmpOp::Eq => ((codes.start, codes.end), true),
+                    CmpOp::Ne => ((codes.start, codes.end), false),
+                    CmpOp::Lt => ((0, codes.start), true),
+                    CmpOp::Le => ((0, codes.end), true),
+                    CmpOp::Gt => ((codes.end, u32::MAX), true),
+                    CmpOp::Ge => ((codes.start, u32::MAX), true),
+                }
+            }
+            BoundPred::Between { lo, hi, .. } => {
+                let (lo, hi) = (as_str(lo)?, as_str(hi)?);
+                ((dict.code_range(lo).start, dict.code_range(hi).end), true)
+            }
+            BoundPred::InList { values, .. } => {
+                let codes = present_codes(dict, values);
+                match codes.as_slice() {
+                    [] => ((0, 0), true),
+                    &[code] => ((code, code + 1), true),
+                    _ => return Some(select_slice(v, slice, |x| codes.contains(&x))),
+                }
+            }
+            _ => return None,
+        };
+        // One compare per row: `x - lo` wraps past `width` below `lo`.
+        let width = hi.saturating_sub(lo);
+        Some(if inside {
+            select_slice(v, slice, |x| x.wrapping_sub(lo) < width)
+        } else {
+            select_slice(v, slice, |x| x.wrapping_sub(lo) >= width)
+        })
+    }
+}
+
+fn as_str(v: &Value) -> Option<&str> {
+    match v {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// The codes of the list's `Str` values that some step holds (the others
+/// match no cell).
+fn present_codes(dict: &StrDict, values: &[Value]) -> Vec<u32> {
+    values
+        .iter()
+        .filter_map(as_str)
+        .map(|s| dict.code_range(s))
+        .filter(|codes| !codes.is_empty())
+        .map(|codes| codes.start)
+        .collect()
 }
 
 /// The selection primitive: logical indices of the rows of `slice` (a view

@@ -85,15 +85,20 @@ fn check_plan(plan: &Plan, catalog: &Catalog, samples: &SampleCatalog, label: &s
     }
 }
 
+/// Every template on a mildly and a fully skewed (`z = 1`, the paper's
+/// skewed databases) catalog: skew changes which strings a sample holds,
+/// so each string template meets present and absent literals.
 fn check_benchmark(benchmark: Benchmark, instances: usize, seed: u64) {
-    let catalog = GenConfig::new(0.001, 0.3, seed).build();
-    let mut rng = Rng::new(seed ^ 0xC0FFEE);
-    let samples = catalog.draw_samples(0.1, 2, &mut rng);
-    let specs = benchmark.queries(&catalog, instances, &mut rng);
-    assert!(!specs.is_empty());
-    for spec in &specs {
-        let plan = plan_query(spec, &catalog);
-        check_plan(&plan, &catalog, &samples, &spec.name);
+    for z in [0.3, 1.0] {
+        let catalog = GenConfig::new(0.001, z, seed).build();
+        let mut rng = Rng::new(seed ^ 0xC0FFEE);
+        let samples = catalog.draw_samples(0.1, 2, &mut rng);
+        let specs = benchmark.queries(&catalog, instances, &mut rng);
+        assert!(!specs.is_empty());
+        for spec in &specs {
+            let plan = plan_query(spec, &catalog);
+            check_plan(&plan, &catalog, &samples, &format!("{} z={z}", spec.name));
+        }
     }
 }
 

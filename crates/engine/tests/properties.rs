@@ -180,3 +180,177 @@ proptest! {
         prop_assert!(est[0] <= t.len() as f64 + 1e-9);
     }
 }
+
+/// The words a `Str` column is drawn from, and literals around them: some
+/// order before, between or after every word, so a sample never holds
+/// them; a word the draw happened to miss is absent too.
+const WORDS: [&str; 6] = ["ant", "bee", "cat", "dog", "eel", "fox"];
+const LITERALS: [&str; 9] = [
+    "aardvark", "ant", "bat", "cat", "dog", "emu", "eel", "fox", "zebra",
+];
+
+/// One relation `s(k Int, w Str, f Float)` from generated `(word, k)` pairs.
+fn word_catalog(rows: &[(usize, i64)]) -> Catalog {
+    let mut c = Catalog::new();
+    let schema = Schema::new(vec![Column::int("k"), Column::str("w"), Column::float("f")]);
+    let rows = rows
+        .iter()
+        .map(|&(w, k)| {
+            vec![
+                Value::Int(k),
+                Value::str(WORDS[w % WORDS.len()]),
+                Value::Float(k as f64),
+            ]
+        })
+        .collect();
+    c.add_table(Table::new("s", schema, rows));
+    c
+}
+
+/// Every shape the coded string path distinguishes, plus shapes it must
+/// hand back to the reference kernels.
+fn str_shapes(cut: i64) -> Vec<Pred> {
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let lit = |s: &str| Value::str(s);
+    let mut shapes = Vec::new();
+    for (i, &word) in LITERALS.iter().enumerate() {
+        for op in ops {
+            shapes.push(Pred::cmp("w", op, lit(word)));
+        }
+        let other = LITERALS[(i * 4 + 3) % LITERALS.len()];
+        shapes.push(Pred::between("w", lit(word), lit(other)));
+        shapes.push(Pred::in_list("w", vec![lit(word), lit(other)]));
+        shapes.push(Pred::in_list("w", vec![lit(word), lit(word), lit(other)]));
+        shapes.push(Pred::in_list("w", vec![lit(word)]));
+        shapes.push(Pred::and(vec![
+            Pred::cmp("w", ops[i % ops.len()], lit(word)),
+            Pred::lt("k", Value::Int(cut)),
+        ]));
+    }
+    shapes.extend([
+        // A `Str` cell never equals a number.
+        Pred::eq("w", Value::Int(1)),
+        Pred::cmp("w", CmpOp::Ne, Value::Float(1.0)),
+        Pred::in_list("w", vec![Value::Int(0), Value::str("cat")]),
+        Pred::in_list("w", vec![Value::Float(2.0)]),
+        Pred::in_list("w", vec![]),
+        // Shapes the coded path leaves alone.
+        Pred::and(vec![
+            Pred::ge("k", Value::Int(cut)),
+            Pred::eq("w", Value::str("dog")),
+        ]),
+        Pred::or(vec![
+            Pred::eq("w", Value::str("bee")),
+            Pred::gt("k", Value::Int(cut)),
+        ]),
+        Pred::col_cmp("w", CmpOp::Eq, "w"),
+        Pred::le("k", Value::Int(cut)),
+        Pred::True,
+    ]);
+    shapes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On either sample copy of a relation, dense or behind a chained
+    /// selection, the coded selection, `filter_slices` and `eval` keep the
+    /// same rows for every string shape.
+    #[test]
+    fn coded_string_selection_agrees_with_the_reference_kernels(
+        rows in prop::collection::vec((0usize..6, -10i64..10), 1..80),
+        seed in any::<u64>(),
+        cut in -10i64..10,
+    ) {
+        use std::sync::Arc;
+        use uaq_storage::ColumnSlice;
+        let c = word_catalog(&rows);
+        let samples = c.draw_samples(0.5, 2, &mut uaq_stats::Rng::new(seed));
+        let shapes = str_shapes(cut);
+        for copy in 0..2 {
+            let sample = samples.sample("s", copy);
+            let schema = sample.table().schema();
+            let dense: Vec<ColumnSlice> = sample
+                .table()
+                .columns()
+                .iter()
+                .cloned()
+                .map(ColumnSlice::dense)
+                .collect();
+            // Dense, one selection (k >= cut) and two (then every other
+            // row): the chains a scan and filters over it hand in.
+            let mut batches = vec![dense.clone()];
+            let ks = Pred::ge("k", Value::Int(cut)).bind(schema).filter_slices(&dense, dense[0].len());
+            let once = ColumnSlice::select_all(dense, &Arc::new(ks));
+            let halves: Vec<u32> = (0..once[0].len() as u32).step_by(2).collect();
+            batches.push(once.clone());
+            batches.push(ColumnSlice::select_all(once, &Arc::new(halves)));
+            for cols in &batches {
+                let len = cols[0].len();
+                let rows: Vec<Row> = (0..len)
+                    .map(|i| cols.iter().map(|col| col.value(i)).collect())
+                    .collect();
+                for pred in &shapes {
+                    let bound = pred.bind(schema);
+                    let want: Vec<u32> = (0..len as u32)
+                        .filter(|&i| bound.eval(&rows[i as usize]))
+                        .collect();
+                    prop_assert_eq!(&bound.filter_slices(cols, len), &want, "{}", pred);
+                    prop_assert_eq!(
+                        &bound.filter_sample(cols, len, sample),
+                        &want,
+                        "copy {} depth {}: {}",
+                        copy,
+                        cols[0].selection_depth(),
+                        pred
+                    );
+                }
+            }
+        }
+    }
+
+    /// End to end in sample mode: a string filter over a filtered scan
+    /// keeps exactly the steps both predicates accept, on each copy.
+    #[test]
+    fn sample_mode_string_filter_over_filtered_scan_keeps_the_right_steps(
+        rows in prop::collection::vec((0usize..6, -10i64..10), 1..80),
+        seed in any::<u64>(),
+        cut in -10i64..10,
+        pick in 0usize..9,
+    ) {
+        let c = word_catalog(&rows);
+        let samples = c.draw_samples(0.5, 2, &mut uaq_stats::Rng::new(seed));
+        let scan_pred = Pred::ge("k", Value::Int(cut));
+        let filter_pred = Pred::in_list(
+            "w",
+            vec![Value::str(LITERALS[pick]), Value::str(LITERALS[(pick + 2) % 9])],
+        );
+        let mut b = PlanBuilder::new();
+        let s = b.seq_scan("s", scan_pred.clone());
+        let f = b.filter(s, filter_pred.clone());
+        let plan = b.build(f);
+        let out = uaq_engine::execute_on_samples(&plan, &samples);
+        let sample = samples.sample("s", 0);
+        let schema = sample.table().schema();
+        let (scan, filter) = (scan_pred.bind(schema), filter_pred.bind(schema));
+        let want: Vec<u32> = sample
+            .table()
+            .rows()
+            .iter()
+            .zip(0u32..)
+            .filter(|(row, _)| scan.eval(row) && filter.eval(row))
+            .map(|(_, step)| step)
+            .collect();
+        let prov = out.traces[f].prov.as_ref().expect("sample mode");
+        let mut got = Vec::new();
+        prov.for_each_leaf_step(0, |step| got.push(step));
+        prop_assert_eq!(got, want);
+    }
+}

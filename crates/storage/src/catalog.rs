@@ -318,8 +318,9 @@ mod tests {
         assert_ne!(a.fingerprint(), d.fingerprint());
         // Clones share contents and fingerprint.
         assert_eq!(a.clone().fingerprint(), a.fingerprint());
-        // A lazily built join index is derived data: not part of the digest.
+        // Lazily built column indexes are derived data: not part of the digest.
         a.sample("r", 0).join_index(0).expect("id is Int");
+        a.sample("r", 1).str_dict(1).expect("tag is Str");
         let indexed_clone = a.clone();
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(indexed_clone.fingerprint(), b.fingerprint());

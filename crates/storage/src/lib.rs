@@ -18,7 +18,7 @@ pub use column::{
     columns_from_rows, rows_from_columns, ColumnData, ColumnRef, ColumnSlice, MAX_SELECTION_DEPTH,
 };
 pub use histogram::Histogram;
-pub use sample::{sample_size_for_ratio, JoinIndex, SampleTable};
+pub use sample::{sample_size_for_ratio, JoinIndex, SampleTable, StrDict};
 pub use schema::{Column, ColumnType, Schema};
 pub use table::{Table, DEFAULT_TUPLES_PER_PAGE};
 pub use value::{order_f64, Row, Value};

@@ -14,16 +14,18 @@
 //! sample tables per relation, addressed by a copy index.
 //!
 //! Sample tables are drawn once and read by every prediction, so what a
-//! sample-mode hash join needs from its build side that does not depend on
-//! the request — which steps hold which join key — is computed once per
-//! table and column ([`SampleTable::join_index`]) instead of once per
-//! execution.
+//! sample-mode operator needs from a column that does not depend on the
+//! request is computed once per table and column instead of once per
+//! execution: which steps hold which join key ([`SampleTable::join_index`],
+//! `Int` columns) and an order-preserving dictionary code per step
+//! ([`SampleTable::str_dict`], `Str` columns).
 
 use crate::column::ColumnData;
 use crate::table::Table;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 use uaq_stats::Rng;
 
 /// Join-key index over one `Int` column of a sample table: key → the
@@ -67,17 +69,76 @@ impl JoinIndex {
     }
 }
 
-/// One lazily built [`JoinIndex`] slot per column (`None` inside: the
-/// column is not `Int`). Lives in the table it describes, so it can never
-/// outlive or be confused with another table's. An index is a pure function
-/// of the immutable sample rows, hence invisible to `Debug` and to the
-/// catalog fingerprint whether or not it has been built yet.
-#[derive(Clone)]
-struct JoinIndexes(Vec<OnceLock<Option<JoinIndex>>>);
+/// Dictionary encoding of one `Str` column of a sample table: the
+/// column's distinct strings in ascending order, and per sampling step the
+/// position (code) of its string among them. Codes follow string order, so
+/// every equality or ordering test against a literal is a test on codes
+/// once the literal is placed among the strings ([`StrDict::code_range`]).
+#[derive(Debug, Clone)]
+pub struct StrDict {
+    /// Distinct strings, ascending; code `c` stands for `values[c]`.
+    values: Vec<Arc<str>>,
+    /// One code per sampling step, in step order.
+    codes: Vec<u32>,
+}
 
-impl fmt::Debug for JoinIndexes {
+impl StrDict {
+    fn build(cells: &[Arc<str>]) -> Self {
+        // Sorting (string, step) pairs groups equal strings in ascending
+        // order; each run is one code, written back to its steps.
+        let mut pairs: Vec<(&Arc<str>, u32)> = cells.iter().zip(0u32..).collect();
+        pairs.sort_unstable();
+        let mut values = Vec::new();
+        let mut codes = vec![0u32; cells.len()];
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let code = values.len() as u32;
+            if let Some(&(value, _)) = run.first() {
+                values.push(Arc::clone(value));
+            }
+            for &(_, step) in run {
+                if let Some(slot) = codes.get_mut(step as usize) {
+                    *slot = code;
+                }
+            }
+        }
+        Self { values, codes }
+    }
+
+    /// Each sampling step's code, in step order.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// The codes whose string equals `s`: one code if some step holds `s`,
+    /// otherwise the empty range at the place `s` would take. Either way
+    /// every code below the range orders before `s` and every code from
+    /// its end on orders after it.
+    pub fn code_range(&self, s: &str) -> Range<u32> {
+        let start = self.values.partition_point(|v| **v < *s);
+        let found = self.values.get(start).is_some_and(|v| **v == *s);
+        start as u32..(start + usize::from(found)) as u32
+    }
+}
+
+/// The literal-independent index of one sample-table column.
+#[derive(Debug, Clone)]
+enum ColumnIndex {
+    Join(JoinIndex),
+    Dict(StrDict),
+}
+
+/// One lazily built [`ColumnIndex`] slot per column (`None` inside: the
+/// column is `Float`, which nothing indexes). Lives in the table it
+/// describes, so it can never outlive or be confused with another table's.
+/// An index is a pure function of the immutable sample rows, hence
+/// invisible to `Debug` and to the catalog fingerprint whether or not it
+/// has been built yet.
+#[derive(Clone)]
+struct ColumnIndexes(Vec<OnceLock<Option<ColumnIndex>>>);
+
+impl fmt::Debug for ColumnIndexes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("JoinIndexes(..)")
+        f.write_str("ColumnIndexes(..)")
     }
 }
 
@@ -93,8 +154,9 @@ pub struct SampleTable {
     copy: usize,
     /// The sampled rows; row `j` is sampling step `j`.
     table: Table,
-    /// Join-key indexes over `table`'s columns, built on first use.
-    join_indexes: JoinIndexes,
+    /// Join-key indexes and string dictionaries over `table`'s columns,
+    /// built on first use.
+    indexes: ColumnIndexes,
 }
 
 impl SampleTable {
@@ -122,7 +184,7 @@ impl SampleTable {
             base_name: base.name().to_string(),
             base_rows: base.len(),
             copy,
-            join_indexes: JoinIndexes(vec![OnceLock::new(); table.columns().len()]),
+            indexes: ColumnIndexes(vec![OnceLock::new(); table.columns().len()]),
             table,
         }
     }
@@ -159,21 +221,40 @@ impl SampleTable {
         self.len() as f64 / self.base_rows as f64
     }
 
-    /// The join-key index of column `col`, built on the first call and
-    /// shared by every later one — across threads too: concurrent first
-    /// calls build it once (`OnceLock`). `None` for a column the index does
-    /// not cover (non-`Int`, or out of range). Not built at draw time: a
-    /// Monte-Carlo run draws a fresh catalog per iteration and must not
-    /// pay for indexes of columns it never joins on.
-    pub fn join_index(&self, col: usize) -> Option<&JoinIndex> {
-        self.join_indexes
+    /// The index of column `col`, built on the first call and shared by
+    /// every later one — across threads too: concurrent first calls build
+    /// it once (`OnceLock`). Not built at draw time: a Monte-Carlo run
+    /// draws a fresh catalog per iteration and must not pay for indexes of
+    /// columns it never joins or filters on.
+    fn index(&self, col: usize) -> Option<&ColumnIndex> {
+        self.indexes
             .0
             .get(col)?
             .get_or_init(|| match self.table.columns().get(col).map(|c| c.as_ref()) {
-                Some(ColumnData::Int(keys)) => Some(JoinIndex::build(keys)),
+                Some(ColumnData::Int(keys)) => Some(ColumnIndex::Join(JoinIndex::build(keys))),
+                Some(ColumnData::Str(cells)) => Some(ColumnIndex::Dict(StrDict::build(cells))),
                 _ => None,
             })
             .as_ref()
+    }
+
+    /// The join-key index of column `col` (built once, see above). `None`
+    /// for a column the index does not cover (non-`Int`, or out of range).
+    pub fn join_index(&self, col: usize) -> Option<&JoinIndex> {
+        match self.index(col)? {
+            ColumnIndex::Join(index) => Some(index),
+            ColumnIndex::Dict(_) => None,
+        }
+    }
+
+    /// The string dictionary of column `col` (built once, like
+    /// [`SampleTable::join_index`]). `None` for a non-`Str` column or one
+    /// out of range.
+    pub fn str_dict(&self, col: usize) -> Option<&StrDict> {
+        match self.index(col)? {
+            ColumnIndex::Dict(dict) => Some(dict),
+            ColumnIndex::Join(_) => None,
+        }
     }
 }
 
@@ -295,20 +376,61 @@ mod tests {
     }
 
     #[test]
+    fn str_dict_codes_follow_string_order() {
+        let schema = Schema::new(vec![Column::str("s"), Column::float("f")]);
+        let words = ["pear", "apple", "fig", "apple", "kiwi"];
+        let rows = (0..words.len())
+            .map(|i| vec![Value::str(words[i]), Value::Float(i as f64)])
+            .collect();
+        let b = Table::new("base", schema, rows);
+        let s = SampleTable::draw(&b, 300, 0, &mut Rng::new(8));
+        let ColumnData::Str(cells) = s.table().columns()[0].as_ref() else {
+            panic!("s is Str")
+        };
+        let dict = s.str_dict(0).expect("Str column is encoded");
+        let values: Vec<&str> = dict.values.iter().map(|v| &**v).collect();
+        assert_eq!(values, ["apple", "fig", "kiwi", "pear"]);
+        assert_eq!(dict.codes().len(), cells.len());
+        for (cell, &code) in cells.iter().zip(dict.codes()) {
+            assert_eq!(dict.values[code as usize], *cell);
+        }
+        // Present literals own one code; absent ones an empty range at the
+        // place they would take.
+        assert_eq!(dict.code_range("fig"), 1..2);
+        assert_eq!(dict.code_range("banana"), 1..1);
+        assert_eq!(dict.code_range("a"), 0..0);
+        assert_eq!(dict.code_range("zebra"), 4..4);
+        // Same allocation on every later call; no dictionary for other
+        // types or columns that do not exist, and no join index for Str.
+        assert!(std::ptr::eq(dict, s.str_dict(0).expect("built")));
+        assert!(s.str_dict(1).is_none());
+        assert!(s.str_dict(2).is_none());
+        assert!(s.join_index(0).is_none());
+    }
+
+    #[test]
     fn building_an_index_is_invisible_to_debug_and_clone() {
-        let b = base(50);
+        let schema = Schema::new(vec![Column::int("id"), Column::str("tag")]);
+        let rows = (0..50)
+            .map(|i| vec![Value::Int(i), Value::str(format!("t{}", i % 6))])
+            .collect();
+        let b = Table::new("base", schema, rows);
         let s = SampleTable::draw(&b, 30, 0, &mut Rng::new(7));
         let before = format!("{s:?}");
         let cold_clone = s.clone();
         s.join_index(0).expect("Int column");
+        s.str_dict(1).expect("Str column");
         assert_eq!(format!("{s:?}"), before);
-        // A clone works the same whether or not its source had built one.
+        // A clone works the same whether or not its source had built them.
         for c in [cold_clone, s.clone()] {
             assert_eq!(format!("{c:?}"), before);
             assert_eq!(
                 c.join_index(0).expect("Int").steps(3),
                 s.join_index(0).expect("Int").steps(3)
             );
+            let (dict, built) = (c.str_dict(1).expect("Str"), s.str_dict(1).expect("Str"));
+            assert_eq!(dict.codes(), built.codes());
+            assert_eq!(dict.values, built.values);
         }
     }
 
